@@ -12,11 +12,11 @@
 //! anneal|genetic` with `--budget N` selects a budgeted metaheuristic
 //! over the enlarged space instead of exhaustive enumeration.
 
+use lego_bench::tuned;
 use lego_bench::workloads::matmul::{simulate, Schedule};
 use lego_bench::workloads::rowwise::{grouped_gemm_tflops, Impl, RowwiseBench};
-use lego_bench::{emit, tuned};
 use lego_codegen::triton::matmul::MatmulVariant;
-use lego_tune::{Json, RowwiseOp, WorkloadKind};
+use lego_tune::{emit, Json, RowwiseOp, WorkloadKind};
 
 const TILES: (i64, i64, i64) = (128, 128, 64);
 

@@ -8,10 +8,10 @@
 //! estimates (`--strategy anneal|genetic` with `--budget N` searches
 //! the enlarged free-integer space).
 
+use lego_bench::tuned;
 use lego_bench::workloads::{lud, nw, stencil};
-use lego_bench::{emit, tuned};
 use lego_codegen::cuda::stencil::StencilShape;
-use lego_tune::{Json, WorkloadKind};
+use lego_tune::{emit, Json, WorkloadKind};
 
 fn main() {
     let which = tuned::positional_args()

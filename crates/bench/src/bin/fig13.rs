@@ -9,10 +9,10 @@
 
 use gpu_sim::timing::Pipeline;
 use gpu_sim::{attainable, ridge};
+use lego_bench::tuned;
 use lego_bench::workloads::{lud, stencil};
-use lego_bench::{emit, tuned};
 use lego_codegen::cuda::stencil::StencilShape;
-use lego_tune::{Json, WorkloadKind};
+use lego_tune::{emit, Json, WorkloadKind};
 
 fn main() {
     let cfg = tuned::device_from_args();

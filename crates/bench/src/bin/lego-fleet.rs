@@ -27,10 +27,9 @@
 use std::collections::HashMap;
 use std::process::exit;
 
-use lego_bench::emit;
 use lego_tune::domain::SpaceScale;
 use lego_tune::fleet::FleetReport;
-use lego_tune::{Budget, FleetDriver, FleetSpec, Json, Strategy, TuneRequest};
+use lego_tune::{emit, Budget, FleetDriver, FleetSpec, Json, Strategy, TuneRequest};
 
 /// The default smoke grid: three families × two devices, 26 keys.
 const DEFAULT_GRID: &str = "matmul:256..2048x2,nw:512..4096x2,softmax:1k..16kx2@a100,h100";

@@ -10,11 +10,11 @@
 
 use std::time::Instant;
 
-use lego_bench::{emit, tuned};
+use lego_bench::tuned;
 use lego_codegen::cuda::{lud, nw, stencil, transpose};
 use lego_codegen::mlir::{transpose_module, MlirTranspose};
 use lego_codegen::triton::{grouped_gemm, layernorm, matmul, softmax};
-use lego_tune::{Json, WorkloadKind};
+use lego_tune::{emit, Json, WorkloadKind};
 
 fn time<F: FnMut()>(mut f: F) -> f64 {
     // Warm once, then take the best of 3 (generation is deterministic).

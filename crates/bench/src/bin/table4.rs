@@ -14,10 +14,10 @@
 //! (`--strategy anneal|genetic` with `--budget N` searches the
 //! enlarged free-integer space).
 
-use lego_bench::{emit, tuned};
+use lego_bench::tuned;
 use lego_codegen::cuda::stencil::StencilShape;
 use lego_codegen::opcount::count_source_ops;
-use lego_tune::{Json, WorkloadKind};
+use lego_tune::{emit, Json, WorkloadKind};
 
 /// Index-computation lines of the reference Triton matmul (Fig. 1 left).
 const MATMUL_ORIG: &str = "\

@@ -12,10 +12,10 @@
 //! anneal|genetic` with `--budget N` searches the enlarged
 //! free-integer space).
 
+use lego_bench::tuned;
 use lego_bench::workloads::transpose::simulate;
-use lego_bench::{emit, tuned};
 use lego_codegen::cuda::transpose::TransposeVariant;
-use lego_tune::{Json, WorkloadKind};
+use lego_tune::{emit, Json, WorkloadKind};
 
 /// Instruction-overhead factor for the SDK's 2-D indexed accesses
 /// relative to LEGO-MLIR's linearized accesses.

@@ -49,15 +49,15 @@
 
 use std::time::Instant;
 
-use gpu_sim::score::ScoreJob;
-use gpu_sim::{CostModel, Estimate, GpuConfig};
-use lego_bench::{emit, tuned};
+use gpu_sim::{CostModel, Estimate, GpuConfig, Workload};
+use lego_bench::tuned;
 use lego_codegen::cuda::stencil::StencilShape;
+use lego_core::Layout;
 use lego_expr::intern::stats as arena_stats;
 use lego_expr::{Engine, Expr, RangeEnv, SimplifyStrategy};
 use lego_tune::space::{annotate_cache_stats, annotated_ops};
 use lego_tune::{
-    build_layout, build_workload, run_search, Budget, Domain, Json, RowwiseOp, SearchSpace,
+    build_layout, build_workload, emit, run_search, Budget, Domain, Json, RowwiseOp, SearchSpace,
     SpaceScale, Strategy, Tuner, WorkloadKind,
 };
 
@@ -96,15 +96,10 @@ fn per_second(count: usize, secs: f64) -> f64 {
     count as f64 / secs.max(1e-9)
 }
 
-/// Enumerates every workload once on the *calling* thread and returns
-/// `(candidates, seconds, per-candidate result lines, memo hit rate)`.
-/// Run on a fresh `std::thread` this is a cold-process stand-in: the
-/// thread-local arena and annotation cache start empty, so the only
-/// possible warm-up is whatever a sidecar installed beforehand.
 /// The `(layout, workload)` pricing jobs of a kind's legacy space,
 /// built on the calling thread so candidate-construction cost stays
 /// out of the timed pricing loops.
-fn pricing_jobs(kind: &WorkloadKind, device: &GpuConfig) -> Vec<ScoreJob> {
+fn pricing_jobs(kind: &WorkloadKind, device: &GpuConfig) -> Vec<(Layout, Workload)> {
     SearchSpace::enumerate(*kind)
         .candidates
         .iter()
@@ -121,7 +116,8 @@ fn pricing_jobs(kind: &WorkloadKind, device: &GpuConfig) -> Vec<ScoreJob> {
 /// cold-process stand-in for the pricing tier — unless a sidecar
 /// installed its geometries first.
 fn fresh_pricing(kinds: &[WorkloadKind], device: &GpuConfig) -> (usize, f64, Vec<Estimate>, f64) {
-    let jobs: Vec<ScoreJob> = kinds.iter().flat_map(|k| pricing_jobs(k, device)).collect();
+    let jobs: Vec<(Layout, Workload)> =
+        kinds.iter().flat_map(|k| pricing_jobs(k, device)).collect();
     let model = CostModel::new(device);
     let t = Instant::now();
     let ests: Vec<Estimate> = jobs.iter().map(|(l, w)| model.price(l, w)).collect();
@@ -130,6 +126,11 @@ fn fresh_pricing(kinds: &[WorkloadKind], device: &GpuConfig) -> (usize, f64, Vec
     (jobs.len(), secs, ests, rate(h, m))
 }
 
+/// Enumerates every workload once on the *calling* thread and returns
+/// `(candidates, seconds, per-candidate result lines, memo hit rate)`.
+/// Run on a fresh `std::thread` this is a cold-process stand-in: the
+/// thread-local arena and annotation cache start empty, so the only
+/// possible warm-up is whatever a sidecar installed beforehand.
 fn fresh_enumeration(kinds: &[WorkloadKind]) -> (usize, f64, Vec<String>, f64) {
     let before = arena_stats();
     let t = Instant::now();

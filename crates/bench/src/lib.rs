@@ -4,7 +4,7 @@
 //! the [`workloads`] drivers simulate each benchmark on the `gpu-sim`
 //! A100 model using the actual LEGO layouts, and the `table*`/`fig*`
 //! binaries print the same rows and series the paper reports — plus a
-//! machine-readable `BENCH_<name>.json` ([`emit`]) and an opt-in
+//! machine-readable `BENCH_<name>.json` ([`lego_tune::emit`]) and an opt-in
 //! `--tuned` mode ([`tuned`]) that reports `lego-tune` naive-vs-tuned
 //! estimates. Criterion benches (disabled in registry-less containers
 //! via `autobenches = false`) cover layout-operation throughput,
@@ -13,6 +13,5 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod emit;
 pub mod tuned;
 pub mod workloads;

@@ -16,9 +16,7 @@
 //!   search the enlarged free-integer one).
 
 use gpu_sim::GpuConfig;
-use lego_tune::{Budget, Json, SpaceScale, Strategy, Tuner, WorkloadKind};
-
-use crate::emit;
+use lego_tune::{emit, Budget, Json, SpaceScale, Strategy, Tuner, WorkloadKind};
 
 /// Whether `--tuned` was passed on the command line.
 pub fn tuned_requested() -> bool {

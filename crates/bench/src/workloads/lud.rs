@@ -7,15 +7,16 @@
 //! it) enlarges the LUD block (`bs = r·16`), which divides both the
 //! number of steps (launches) and the total perimeter traffic by `r` —
 //! the arithmetic-intensity shift visible on the paper's roofline. The
-//! panel walk lives in [`gpu_sim::trace::LudPanels`], shared with the
-//! `lego-tune` oracle, and is priced by `gpu_sim`'s `CostModel` under
-//! the workload's `PricingMode::AdditiveLaunch` — the dependent
-//! diagonal/perimeter/internal kernels cannot overlap compute with
-//! panel traffic, so the bottleneck terms add.
+//! panel walk lives in [`gpu_sim::trace::LudPanels`] and is priced, as
+//! the tuner configuration `r = bs/16, t = 16`, by `gpu_sim`'s
+//! `CostModel` under the workload's `PricingMode::AdditiveLaunch` — the
+//! dependent diagonal/perimeter/internal kernels cannot overlap compute
+//! with panel traffic, so the bottleneck terms add.
 
-use gpu_sim::trace::{LudPanels, TraceBuilder};
-use gpu_sim::{score, Estimate, GpuConfig};
-use lego_core::Layout;
+use gpu_sim::GpuConfig;
+use lego_tune::{TunedConfig, WorkloadKind};
+
+use super::price;
 
 /// Result for one LUD configuration.
 #[derive(Clone, Copy, Debug)]
@@ -30,26 +31,15 @@ pub struct LudResult {
     pub dram_bytes: f64,
 }
 
-/// Scores one LUD configuration through the shared trace builder,
-/// returning the raw `gpu-sim` estimate.
-pub fn estimate(n: i64, bs: i64, cfg: &GpuConfig) -> Estimate {
-    assert!(n % bs == 0, "block must divide matrix");
-    let workload = LudPanels {
-        n,
-        bs,
-        t: 16,
-        index_flops: 0.0,
-    }
-    .build(cfg);
-    // The panel trace is pre-aggregated; the layout is unused.
-    let layout = Layout::identity([bs, bs]).expect("identity");
-    score(&layout, &workload, cfg)
-}
-
 /// Simulates LUD with LUD-block side `bs` (the CUDA block stays 16×16;
 /// coarsening factor is `bs/16`).
 pub fn simulate(n: i64, bs: i64, cfg: &GpuConfig) -> LudResult {
-    let e = estimate(n, bs, cfg);
+    assert!(n % bs == 0, "block must divide matrix");
+    let e = price(
+        WorkloadKind::Lud { n, bs: 16 },
+        TunedConfig::Lud { r: bs / 16, t: 16 },
+        cfg,
+    );
     LudResult {
         time_s: e.time_s,
         gflops: e.flops / e.time_s / 1e9,

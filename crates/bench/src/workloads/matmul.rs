@@ -4,15 +4,19 @@
 //! A100 model. The trace itself — thread blocks issued `sm_count` at a
 //! time in `pid` order, each block walking the K loop touching its `A`
 //! and `B` tiles through a tile-granular L2 — lives in
-//! [`gpu_sim::trace::MatmulWaves`], shared with the `lego-tune` oracle.
-//! The *thread-block layout* decides which `(pid_m, pid_n)` a `pid`
-//! gets — the grouped column-major layout of Fig. 1 vs. plain
-//! row-major — and therefore how much reuse a wave finds in L2.
+//! [`gpu_sim::trace::MatmulWaves`]. The *thread-block layout* decides
+//! which `(pid_m, pid_n)` a `pid` gets — the grouped column-major
+//! layout of Fig. 1 vs. plain row-major — and therefore how much reuse
+//! a wave finds in L2. Both LEGO schedules are tuner configurations;
+//! only the vendor-library model, which the tuner has no counterpart
+//! for, is built here.
 
 use gpu_sim::trace::{MatmulWaves, TraceBuilder};
-use gpu_sim::{score, Estimate, GpuConfig};
-use lego_core::{sugar, Layout, OrderBy};
-use lego_expr::Expr;
+use gpu_sim::{CostModel, GpuConfig};
+use lego_core::Layout;
+use lego_tune::{ScheduleChoice, TunedConfig, WorkloadKind};
+
+use super::price;
 
 /// How program ids map to tile coordinates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,53 +46,36 @@ pub struct MatmulResult {
     pub dram_bytes: f64,
 }
 
-/// Builds the concrete grouped thread layout for `nt_m × nt_n` tiles.
-fn grouped_layout(nt_m: i64, nt_n: i64, gm: i64) -> Layout {
-    let g = gm.min(nt_m);
-    let gmax = (nt_m / gm).max(1);
-    sugar::tile_by([vec![Expr::val(nt_m), Expr::val(nt_n)]])
-        .expect("tile_by")
-        .order_by(
-            OrderBy::new([
-                sugar::col([gmax, 1]).expect("col"),
-                sugar::col([g, nt_n]).expect("col"),
-            ])
-            .expect("order_by"),
-        )
-        .build()
-        .expect("layout")
-}
-
-/// Scores one GEMM configuration through the shared trace builder,
-/// returning the raw `gpu-sim` estimate.
-pub fn estimate(
+/// Simulates `C = A·B` for square `n`, FP16, `BM×BN×BK` tiles.
+pub fn simulate(
     n: i64,
     (bm, bn, bk): (i64, i64, i64),
     schedule: Schedule,
     cfg: &GpuConfig,
-) -> Estimate {
-    let (nt_m, nt_n) = (n / bm, n / bn);
-    // pid -> (pid_m, pid_n)
-    let layout = match schedule {
-        Schedule::Grouped { gm } => grouped_layout(nt_m, nt_n, gm),
-        Schedule::RowMajor | Schedule::Vendor => Layout::identity([nt_m, nt_n]).expect("identity"),
-    };
-    let workload = MatmulWaves {
-        vendor: matches!(schedule, Schedule::Vendor),
-        ..MatmulWaves::with_tiles(n, (bm, bn, bk))
-    }
-    .build(cfg);
-    score(&layout, &workload, cfg)
-}
-
-/// Simulates `C = A·B` for square `n`, FP16, `BM×BN×BK` tiles.
-pub fn simulate(
-    n: i64,
-    tiles: (i64, i64, i64),
-    schedule: Schedule,
-    cfg: &GpuConfig,
 ) -> MatmulResult {
-    let e = estimate(n, tiles, schedule, cfg);
+    let lego = |schedule| {
+        let config = TunedConfig::Matmul {
+            bm,
+            bn,
+            bk,
+            schedule,
+        };
+        price(WorkloadKind::Matmul { n }, config, cfg)
+    };
+    let e = match schedule {
+        Schedule::Grouped { gm } => lego(ScheduleChoice::Grouped { gm }),
+        Schedule::RowMajor => lego(ScheduleChoice::RowMajor),
+        Schedule::Vendor => {
+            let workload = MatmulWaves {
+                vendor: true,
+                ..MatmulWaves::with_tiles(n, (bm, bn, bk))
+            }
+            .build(cfg);
+            // Ideal scheduling walks the pids in plain row-major order.
+            let layout = Layout::identity([n / bm, n / bn]).expect("identity");
+            CostModel::new(cfg).price(&layout, &workload)
+        }
+    };
     MatmulResult {
         time_s: e.time_s,
         tflops: e.tflops(),
@@ -106,10 +93,17 @@ mod tests {
 
     #[test]
     fn grouped_layout_matches_reference_mapping() {
-        // Cross-check against the reference formula from the Triton
-        // tutorial (same as codegen's test, concrete path).
+        // Cross-check the tuner's grouped schedule against the reference
+        // formula from the Triton tutorial (same as codegen's test,
+        // concrete path).
         let (nt_m, nt_n, gm) = (16i64, 16i64, 8i64);
-        let l = grouped_layout(nt_m, nt_n, gm);
+        let config = TunedConfig::Matmul {
+            bm: 128,
+            bn: 128,
+            bk: 64,
+            schedule: ScheduleChoice::Grouped { gm },
+        };
+        let l = lego_tune::build_layout(&WorkloadKind::Matmul { n: 128 * nt_m }, &config).unwrap();
         for pid in 0..nt_m * nt_n {
             let v = l.inv_c(pid).unwrap();
             let npg = gm * nt_n;

@@ -12,13 +12,14 @@
 //! timing (fixed instruction budget per in-block step plus serialized
 //! bank passes, blocks issued `sm_count` at a time per diagonal) lives
 //! in `gpu_sim`'s `CostModel` as the workload's
-//! `PricingMode::AdditiveLaunch` — the same path the `lego-tune` oracle
-//! prices, so table numbers and tuner rankings are bit-identical.
+//! `PricingMode::AdditiveLaunch`. Both buffer layouts are tuner
+//! configurations, so table numbers and tuner rankings come from the
+//! same call.
 
-use gpu_sim::trace::{NwWavefront, TraceBuilder};
-use gpu_sim::{score, Estimate, GpuConfig};
-use lego_codegen::cuda::nw as nwgen;
-use lego_core::Layout;
+use gpu_sim::GpuConfig;
+use lego_tune::{NwLayoutChoice, TunedConfig, WorkloadKind};
+
+use super::price;
 
 /// Result for one NW configuration.
 #[derive(Clone, Copy, Debug)]
@@ -29,30 +30,18 @@ pub struct NwResult {
     pub block_passes: f64,
 }
 
-/// Shared-memory passes for one block's full wavefront sweep under a
-/// given buffer layout on `cfg`'s warp/bank geometry — counted from the
-/// shared trace builder's per-block wavefront walk.
-pub fn block_smem_passes(layout: &Layout, b: i64, cfg: &GpuConfig) -> f64 {
-    NwWavefront::block_passes(layout, b, cfg)
-}
-
-/// Scores one NW configuration through the shared trace builder and
-/// cost model, returning the raw `gpu-sim` estimate.
-pub fn estimate(n: i64, b: i64, optimized: bool, cfg: &GpuConfig) -> Estimate {
-    let k = nwgen::generate(b).expect("nw layouts");
-    let layout = if optimized { &k.optimized } else { &k.baseline };
-    let workload = NwWavefront {
-        n,
-        b,
-        index_flops: 0.0,
-    }
-    .build(cfg);
-    score(layout, &workload, cfg)
-}
-
 /// Simulates the full NW run for an `n×n` matrix with block size `b`.
 pub fn simulate(n: i64, b: i64, optimized: bool, cfg: &GpuConfig) -> NwResult {
-    let e = estimate(n, b, optimized, cfg);
+    let layout = if optimized {
+        NwLayoutChoice::Antidiag
+    } else {
+        NwLayoutChoice::RowMajor
+    };
+    let e = price(
+        WorkloadKind::Nw { n, b },
+        TunedConfig::Nw { b, layout },
+        cfg,
+    );
     let blocks = {
         let nb = (n + b - 1) / b;
         2.0 * (nb * nb) as f64
@@ -71,14 +60,16 @@ pub fn speedup(n: i64, b: i64, cfg: &GpuConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::trace::NwWavefront;
     use gpu_sim::{a100, mi300};
+    use lego_codegen::cuda::nw as nwgen;
 
     #[test]
     fn antidiag_eliminates_conflicts() {
         let cfg = a100();
         let k = nwgen::generate(16).unwrap();
-        let base = block_smem_passes(&k.baseline, 16, &cfg);
-        let opt = block_smem_passes(&k.optimized, 16, &cfg);
+        let base = NwWavefront::block_passes(&k.baseline, 16, &cfg);
+        let opt = NwWavefront::block_passes(&k.optimized, 16, &cfg);
         assert!(
             base / opt > 4.0,
             "expected large pass reduction: {base} vs {opt}"
@@ -90,7 +81,7 @@ mod tests {
         // Conflict-free: 4 access groups x (2b-1) diagonals.
         let cfg = a100();
         let k = nwgen::generate(16).unwrap();
-        let opt = block_smem_passes(&k.optimized, 16, &cfg);
+        let opt = NwWavefront::block_passes(&k.optimized, 16, &cfg);
         assert!(opt <= (4 * (2 * 16 - 1)) as f64 * 1.5);
     }
 

@@ -3,8 +3,8 @@
 //! The per-warp lane walk — every stencil tap's 32 element addresses
 //! computed through the *actual layout* (row-major vs. brick),
 //! coalesced into 32-byte sectors and filtered through a scaled L2 —
-//! lives in [`gpu_sim::trace::StencilWalk`], shared with the
-//! `lego-tune` oracle.
+//! lives in [`gpu_sim::trace::StencilWalk`]; both layouts are tuner
+//! configurations, priced exactly as the tuner prices them.
 //!
 //! The mechanism is the one the paper names: bricks put "spatially
 //! adjacent data related to a block of computation … physically
@@ -17,12 +17,11 @@
 //! at a smaller size with L2 capacity scaled by the same factor, so the
 //! working-set-to-cache ratio that decides hit rates is preserved.
 
-use gpu_sim::trace::{StencilWalk, TraceBuilder};
-use gpu_sim::{score, Estimate, GpuConfig};
-use lego_codegen::cuda::stencil::{generate, StencilBench, StencilShape};
-use lego_core::Layout;
+use gpu_sim::GpuConfig;
+use lego_codegen::cuda::stencil::StencilShape;
+use lego_tune::{StencilLayoutChoice, TunedConfig, WorkloadKind};
 
-pub use gpu_sim::trace::LaneAxis;
+use super::price;
 
 /// Result for one stencil configuration.
 #[derive(Clone, Copy, Debug)]
@@ -39,51 +38,7 @@ pub struct StencilResult {
     pub intensity: f64,
 }
 
-/// Scores one stencil sweep through the shared trace builder, returning
-/// the raw `gpu-sim` estimate.
-pub fn estimate(
-    layout: &Layout,
-    shape: StencilShape,
-    n: i64,
-    block: (i64, i64, i64),
-    lane_axis: LaneAxis,
-    cfg: &GpuConfig,
-) -> Estimate {
-    let workload = StencilWalk {
-        shape_name: shape.name(),
-        offsets: shape.offsets(),
-        radius: shape.radius(),
-        n,
-        block,
-        lane_axis,
-        index_flops: 0.0,
-    }
-    .build(cfg);
-    score(layout, &workload, cfg)
-}
-
-/// Simulates one stencil sweep over an `n³` domain with the given
-/// layout, visiting points in `bx×by×bz` tiles with warps along
-/// `lane_axis`.
-pub fn sweep(
-    layout: &Layout,
-    shape: StencilShape,
-    n: i64,
-    block: (i64, i64, i64),
-    lane_axis: LaneAxis,
-    cfg: &GpuConfig,
-) -> StencilResult {
-    let e = estimate(layout, shape, n, block, lane_axis, cfg);
-    StencilResult {
-        time_s: e.time_s,
-        gflops: e.flops / e.time_s / 1e9,
-        dram_bytes: e.dram_bytes,
-        l2_bytes: e.l2_bytes,
-        intensity: e.flops / e.dram_bytes,
-    }
-}
-
-/// Runs one shape with both layouts and returns
+/// Runs one shape with both layouts over an `n³` domain and returns
 /// `(row_major, brick, speedup)`.
 pub fn compare(
     shape: StencilShape,
@@ -91,13 +46,26 @@ pub fn compare(
     b: i64,
     cfg: &GpuConfig,
 ) -> (StencilResult, StencilResult, f64) {
-    let bench: StencilBench = generate(shape, n, b).expect("stencil layouts");
+    let sweep = |layout| {
+        let e = price(
+            WorkloadKind::Stencil { shape, n },
+            TunedConfig::Stencil { n, layout },
+            cfg,
+        );
+        StencilResult {
+            time_s: e.time_s,
+            gflops: e.flops / e.time_s / 1e9,
+            dram_bytes: e.dram_bytes,
+            l2_bytes: e.l2_bytes,
+            intensity: e.flops / e.dram_bytes,
+        }
+    };
     // Baseline array kernel: 3-D tiles whose warps end up walking the
     // strided y dimension of the row-major space.
-    let rm = sweep(&bench.row_major, shape, n, (4, 32, 4), LaneAxis::Y, cfg);
+    let rm = sweep(StencilLayoutChoice::RowMajorY);
     // Brick kernel: one block per brick, threads in brick-local order —
     // which the brick layout makes memory-contiguous.
-    let bk = sweep(&bench.brick, shape, n, (b, b, b), LaneAxis::YZ, cfg);
+    let bk = sweep(StencilLayoutChoice::Brick { b });
     (rm, bk, rm.time_s / bk.time_s)
 }
 

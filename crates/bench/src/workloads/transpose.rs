@@ -2,14 +2,15 @@
 //!
 //! The warp sweep — coalesced/strided global halves plus the staged
 //! variant's bank passes — lives in
-//! [`gpu_sim::trace::TransposeSweeps`], shared with the `lego-tune`
-//! oracle; this driver scores it against the *generated* staging layout
-//! (swizzled — conflict-free — in the LEGO version, per the kernel).
+//! [`gpu_sim::trace::TransposeSweeps`]; this driver prices it against
+//! the staging layout of the generated kernel (swizzled — conflict-free
+//! — in the LEGO version), as the tuner configuration naming it.
 
-use gpu_sim::trace::{TraceBuilder, TransposeSweeps};
-use gpu_sim::{score, Estimate, GpuConfig};
-use lego_codegen::cuda::transpose::{generate, TransposeVariant};
-use lego_core::Layout;
+use gpu_sim::GpuConfig;
+use lego_codegen::cuda::transpose::TransposeVariant;
+use lego_tune::{StagingChoice, TunedConfig, WorkloadKind};
+
+use super::price;
 
 /// Fraction of streaming bandwidth a transpose-pattern kernel achieves:
 /// alternating read/write streams to distinct regions pay DRAM
@@ -26,31 +27,18 @@ pub struct TransposeResult {
     pub dram_bytes: f64,
 }
 
-/// Scores one transpose configuration through the shared trace builder,
-/// returning the raw `gpu-sim` estimate (no bandwidth derate applied).
-pub fn estimate(n: i64, t: i64, variant: TransposeVariant, cfg: &GpuConfig) -> Estimate {
-    let staged = variant == TransposeVariant::SmemCoalesced;
-    let layout = if staged {
-        let k = generate(variant, t).expect("transpose kernels");
-        k.smem_layout.expect("smem variant")
-    } else {
-        // The unstaged kernel has no staging tile; the layout is unused
-        // by the trace.
-        Layout::identity([t, t]).expect("identity")
-    };
-    let workload = TransposeSweeps {
-        n,
-        t,
-        staged,
-        index_flops: 0.0,
-    }
-    .build(cfg);
-    score(&layout, &workload, cfg)
-}
-
 /// Simulates an `n×n` fp32 transpose with `t×t` tiles.
 pub fn simulate(n: i64, t: i64, variant: TransposeVariant, cfg: &GpuConfig) -> TransposeResult {
-    let e = estimate(n, t, variant, cfg);
+    // The generated staged kernel stages through the XOR swizzle.
+    let staging = match variant {
+        TransposeVariant::Naive => None,
+        TransposeVariant::SmemCoalesced => Some(StagingChoice::Swizzle),
+    };
+    let e = price(
+        WorkloadKind::Transpose { n },
+        TunedConfig::Transpose { t, staging },
+        cfg,
+    );
     TransposeResult {
         gbps: e.gbps() * TRANSPOSE_BW_DERATE,
         dram_bytes: e.dram_bytes,

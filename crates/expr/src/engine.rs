@@ -1,12 +1,11 @@
 //! The unified pass API: one struct owning the environment, strategy,
 //! and budget, fronting every expression pass.
 //!
-//! [`Engine`] replaces the historical free-function API (`simplify`,
-//! `prove_*`, `op_count`, `expand`, `pick_cheaper` — all now
-//! `#[deprecated]` shims over this type): downstream code constructs
-//! one engine per environment and calls its methods, and switching the
-//! simplification machinery is a [`SimplifyStrategy`] knob instead of a
-//! call-site rewrite.
+//! [`Engine`] is the only public face of the passes (`simplify`,
+//! `prove_*`, `op_count`, `expand`, `pick_cheaper`): downstream code
+//! constructs one engine per environment and calls its methods, and
+//! switching the simplification machinery is a [`SimplifyStrategy`]
+//! knob instead of a call-site rewrite.
 //!
 //! ```
 //! use lego_expr::{Engine, Expr, RangeEnv, SimplifyStrategy};

@@ -15,14 +15,14 @@
 //! The memo tables cache the expensive passes per `(environment id,
 //! node id)`:
 //!
-//! * [`crate::simplify()`] — full fixpoint results *and* single-pass
+//! * [`crate::Engine::simplify`] — full fixpoint results *and* single-pass
 //!   results (so shared subtrees across different candidate expressions
 //!   simplify once per tuning session),
 //! * [`crate::range::RangeEnv::num_range`] — interval analysis,
 //! * `prove_nonneg` / `prove_pos` / `prove_lt` facts (only those
 //!   established at recursion depth 0, where the prover's depth budget
 //!   is full and the answer is a pure function of the query),
-//! * [`crate::op_count`] and [`crate::expand()`] — environment-free,
+//! * [`crate::Engine::op_count`] and [`crate::Engine::expand`] — environment-free,
 //!   keyed by node id alone.
 //!
 //! [`ArenaStats`] exposes hit/miss counters for all of the above; the

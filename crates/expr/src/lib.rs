@@ -81,12 +81,3 @@ pub use range::{NumRange, RangeEnv, SymBounds};
 pub use rules::{RewriteRule, RuleStats};
 pub use sidecar::{InstallReport, Sidecar};
 pub use subst::{eval, eval_cond, eval_lane, map_ranges, subst, transform, Bindings, EvalError};
-
-// Deprecated free-function pass API, kept for source compatibility; all
-// of these are thin shims over `Engine`.
-#[allow(deprecated)]
-pub use cost::{op_count, pick_cheaper};
-#[allow(deprecated)]
-pub use expand::expand;
-#[allow(deprecated)]
-pub use simplify::{simplify, simplify_with_stats};

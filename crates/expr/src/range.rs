@@ -215,8 +215,9 @@ impl RangeEnv {
     /// The environment's session identity: environments with identical
     /// content (same bounds, same divisibility facts, by interned node
     /// identity) share one id, which keys the per-environment memo
-    /// tables of [`crate::simplify()`], [`RangeEnv::num_range`] and the
-    /// prover. Computed once and cached; any mutation invalidates it.
+    /// tables of [`crate::Engine::simplify`], [`RangeEnv::num_range`]
+    /// and the prover. Computed once and cached; any mutation
+    /// invalidates it.
     pub fn id(&self) -> u64 {
         *self.interned.get_or_init(|| {
             let mut bounds: Vec<(String, Option<u64>, Option<u64>)> = self

@@ -78,24 +78,6 @@ pub(crate) fn single_pass(e: &Expr, env: &RangeEnv) -> Expr {
     pass(e, env, &mut stats, &mut PassMemo::Local(&mut local))
 }
 
-/// Simplifies to fixpoint (bounded at 12 passes).
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::simplify`")]
-pub fn simplify(e: &Expr, env: &RangeEnv) -> Expr {
-    crate::engine::Engine::with_env(env.clone()).simplify(e)
-}
-
-/// Simplifies to fixpoint and reports which rules fired.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::simplify_with_stats`")]
-pub fn simplify_with_stats(e: &Expr, env: &RangeEnv) -> (Expr, RuleStats) {
-    crate::engine::Engine::with_env(env.clone()).simplify_with_stats(e)
-}
-
-/// A single bottom-up simplification pass (no fixpoint iteration).
-#[deprecated(note = "internal prover normalization; use `lego_expr::Engine::simplify` instead")]
-pub fn simplify_nofix(e: &Expr, env: &RangeEnv) -> Expr {
-    single_pass(e, env)
-}
-
 /// Where a rewrite pass looks up (and records) per-node results.
 enum PassMemo<'a> {
     /// The session-lifetime table in [`crate::intern`], keyed by

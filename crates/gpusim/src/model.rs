@@ -1,14 +1,13 @@
 //! The device-generic pricing engine: one [`CostModel`] owns the full
 //! trace→estimate path.
 //!
-//! Historically the repo priced traces in *two* places: the shared
-//! [`crate::score::score`] oracle (roofline timing, used by `lego-tune`
-//! and most `lego-bench` drivers) and a private additive wavefront loop
-//! inside `lego-bench`'s NW driver — so an NW table number and the
-//! tuner's NW ranking could disagree. This module is the merge point:
-//! every estimate, bench or tuner, on any device, is produced by
-//! [`CostModel::price`] (the `score()` free function is a thin wrapper
-//! kept for call-site convenience). A [`Workload`] now carries its
+//! Historically the repo priced traces in *two* places: a shared
+//! roofline oracle (used by `lego-tune` and most `lego-bench` drivers)
+//! and a private additive wavefront loop inside `lego-bench`'s NW
+//! driver — so an NW table number and the tuner's NW ranking could
+//! disagree. This module is the merge point: every estimate, bench or
+//! tuner, on any device, is produced by [`CostModel::price`] or
+//! [`CostModel::price_batch`]. A [`Workload`] now carries its
 //! [`PricingMode`], so the dependency-serialized wavefront workloads
 //! (NW, LUD) are priced additively by the same engine that prices the
 //! overlapped streaming workloads with the roofline — and both crates
@@ -484,11 +483,17 @@ impl<'a> CostModel<'a> {
                 None => cold.push(i),
             }
         }
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(cold.len());
-        if threads <= 1 || cold.len() < Self::INLINE_BATCH {
+        // Small batches never ask for the core count: the query reads
+        // cgroup files and costs more than a warm single-job batch.
+        let threads = if cold.len() < Self::INLINE_BATCH {
+            1
+        } else {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+                .min(cold.len())
+        };
+        if threads <= 1 {
             for &i in &cold {
                 traffic[i] = Some(self.trace_traffic(&jobs[i].0, &jobs[i].1));
             }

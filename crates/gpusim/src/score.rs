@@ -1,25 +1,19 @@
-//! One-call layout scoring: the autotuner's evaluation oracle.
-//!
-//! [`score`] is the call-site-friendly face of the device-generic
-//! pricing engine in [`crate::model`]: it hands the `(layout, workload,
-//! cfg)` triple to a [`CostModel`], which composes the crate's
-//! primitive models — warp coalescing ([`crate::coalesce`]),
-//! shared-memory bank serialization ([`crate::smem`]), sector- and
-//! tile-granular L2 filtering ([`crate::cache`] / [`crate::tilecache`])
-//! and the timing model ([`crate::timing`]) — under the workload's
-//! [`PricingMode`]. [`score_batch`] evaluates many candidate layouts in
-//! parallel (layouts are `Send + Sync` since the `Arc` refactor).
+//! The workload vocabulary of the cost model: what a kernel touches,
+//! and the estimate pricing it yields.
 //!
 //! A [`Workload`] describes *what* a kernel touches in logical terms;
 //! the [`lego_core::Layout`] under evaluation decides *where* those
 //! touches land. The workload's trace generators receive the layout and
 //! emit warp-level element indices (or tile touches) through a callback,
-//! so traces never have to be materialized in memory.
+//! so traces never have to be materialized in memory. The one pricing
+//! path, [`crate::CostModel::price`] (or
+//! [`price_batch`](crate::CostModel::price_batch) for many candidates
+//! in parallel), turns a `(layout, workload)` pair into an
+//! [`Estimate`] under the workload's [`PricingMode`].
 
 use lego_core::Layout;
 
-use crate::config::GpuConfig;
-use crate::model::{CostModel, PricingMode};
+use crate::model::PricingMode;
 use crate::timing::{Pipeline, TimeEstimate};
 
 /// Generator of warp-level element-index groups: called with the layout
@@ -135,7 +129,7 @@ pub struct Workload {
     pub phases: Vec<Phase>,
 }
 
-/// The scored result of one (layout, workload) pair.
+/// The priced result of one (layout, workload) pair.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Estimate {
     /// Final runtime estimate in seconds.
@@ -168,27 +162,11 @@ impl Estimate {
     }
 }
 
-/// Scores one candidate layout against a workload on `cfg` by handing
-/// it to the device's [`CostModel`] — the single trace→estimate path
-/// shared by the bench drivers and the tuner.
-pub fn score(layout: &Layout, workload: &Workload, cfg: &GpuConfig) -> Estimate {
-    CostModel::new(cfg).price(layout, workload)
-}
-
-/// One unit of batch work: a candidate layout plus the workload it is
-/// scored against (workloads may differ per candidate, e.g. tile sizes).
-pub type ScoreJob = (Layout, Workload);
-
-/// Scores a batch of candidates in parallel, preserving order (see
-/// [`CostModel::price_batch`]).
-pub fn score_batch(jobs: Vec<ScoreJob>, cfg: &GpuConfig) -> Vec<Estimate> {
-    CostModel::new(cfg).price_batch(jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::a100;
+    use crate::model::CostModel;
 
     fn streaming_workload(stride: i64) -> Workload {
         Workload {
@@ -221,8 +199,9 @@ mod tests {
     fn strided_stream_scores_slower_than_unit_stride() {
         let cfg = a100();
         let layout = Layout::identity([100_000i64]).unwrap();
-        let unit = score(&layout, &streaming_workload(1), &cfg);
-        let strided = score(&layout, &streaming_workload(64), &cfg);
+        let model = CostModel::new(&cfg);
+        let unit = model.price(&layout, &streaming_workload(1));
+        let strided = model.price(&layout, &streaming_workload(64));
         assert!(strided.time_s > unit.time_s);
         assert!(strided.dram_bytes > unit.dram_bytes);
     }
@@ -230,7 +209,8 @@ mod tests {
     #[test]
     fn batch_matches_sequential() {
         let cfg = a100();
-        let jobs: Vec<ScoreJob> = (1..9)
+        let model = CostModel::new(&cfg);
+        let jobs: Vec<(Layout, Workload)> = (1..9)
             .map(|s| {
                 (
                     Layout::identity([100_000i64]).unwrap(),
@@ -238,8 +218,8 @@ mod tests {
                 )
             })
             .collect();
-        let seq: Vec<Estimate> = jobs.iter().map(|(l, w)| score(l, w, &cfg)).collect();
-        let par = score_batch(jobs, &cfg);
+        let seq: Vec<Estimate> = jobs.iter().map(|(l, w)| model.price(l, w)).collect();
+        let par = model.price_batch(jobs);
         assert_eq!(seq, par);
     }
 
@@ -269,7 +249,7 @@ mod tests {
                 scale: 1.0,
             }],
         };
-        let e = score(&layout, &w, &cfg);
+        let e = CostModel::new(&cfg).price(&layout, &w);
         assert_eq!(e.smem_passes, 32.0);
     }
 }

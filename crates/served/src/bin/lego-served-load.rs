@@ -31,10 +31,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use lego_bench::emit;
 use lego_served::client::{is_ok, Client};
 use lego_served::{Server, ServerConfig, TuneSpec};
-use lego_tune::Json;
+use lego_tune::{emit, Json};
 
 const USAGE: &str =
     "lego-served-load: drive a herd/cold/warm request mix at an embedded lego-served daemon

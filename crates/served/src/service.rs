@@ -370,11 +370,10 @@ impl TuneService {
         }
         let report = driver.run(grid);
 
-        // Promote. With a cache, the merged write is already on disk
-        // and its entries carry the real frontiers — refresh the memory
-        // tier from it. Without one, synthesize memory entries from the
-        // fresh results (empty frontier, per the serving-tier
-        // convention).
+        // Promote. With a cache, the merged write is already on disk —
+        // refresh the memory tier from it. Without one, promote each
+        // fresh key's entry, the same entry the merged write would
+        // have persisted.
         let mut memory = self.memory.lock().expect("memory tier poisoned");
         if let Some(cache) = &self.cache {
             for (k, v) in cache.entries() {
@@ -382,32 +381,9 @@ impl TuneService {
             }
         } else {
             for key in &report.keys {
-                let Ok(t) = &key.result else { continue };
-                if t.from_cache {
-                    continue;
+                if let Some(entry) = &key.entry {
+                    memory.insert(key.cache_key.clone(), entry.clone());
                 }
-                let req = &key.request;
-                memory.insert(
-                    key.cache_key.clone(),
-                    CachedTuning {
-                        config: t.config,
-                        expr_variant: None,
-                        index_ops: None,
-                        naive: t.naive,
-                        tuned: t.tuned,
-                        evaluated: t.evaluated,
-                        strategy: req.strategy.name().to_string(),
-                        // Transferred searches record the request's
-                        // cold budget, same as the driver's own cache
-                        // entries — the entry serves what was asked.
-                        budget: match req.strategy {
-                            Strategy::Exhaustive => None,
-                            Strategy::Anneal | Strategy::Genetic => Some(req.budget.max_evals()),
-                        },
-                        space: req.effective_space().name().to_string(),
-                        frontier: vec![],
-                    },
-                );
             }
         }
         drop(memory);

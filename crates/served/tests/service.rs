@@ -4,7 +4,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
 use lego_served::client::{is_ok, Client};
-use lego_served::{FleetWire, Server, ServerConfig, TuneSpec};
+use lego_served::protocol::{self, render_line};
+use lego_served::{FleetWire, Server, ServerConfig, Tier, TuneService, TuneSpec};
 use lego_tune::Json;
 
 /// A unique temp cache path per test (tests run in one process, so the
@@ -264,6 +265,38 @@ fn fleet_verb_tunes_a_grid_and_feeds_the_tune_path() {
 
     shutdown_and_join(server);
     let _ = std::fs::remove_file(&cache);
+}
+
+/// A `tune` after a fleet run answers the same bytes whether or not the
+/// service persists to a cache: either way the memory tier holds the
+/// entry the fleet's search produced, expression variant included.
+#[test]
+fn fleet_promotes_the_same_answer_with_and_without_a_cache() {
+    let mut wire = FleetWire::grid("matmul:256..1024x2");
+    wire.budget = Some(48);
+    wire.threads = Some(2);
+    let mut spec = TuneSpec::workload("matmul(n=512)");
+    spec.strategy = Some("anneal".into());
+    spec.budget = Some(48);
+    let answer = |cache: Option<PathBuf>| {
+        let service = TuneService::new(gpu_sim::a100(), cache, None);
+        let fleet = protocol::resolve_fleet(&wire, service.default_device()).expect("grid");
+        service.fleet(&fleet.grid, fleet.threads, fleet.transfer);
+        let req = protocol::resolve(&spec, service.default_device()).expect("spec");
+        let (served, tier) = service.resolve(&req);
+        assert_eq!(
+            tier,
+            Tier::Memory,
+            "a fleet-tuned key must be served from memory"
+        );
+        render_line(&served.expect("fleet-tuned key").to_json())
+    };
+    let cache = temp_cache("fleet_promotion");
+    let with_cache = answer(Some(cache.clone()));
+    let _ = std::fs::remove_file(&cache);
+    let without_cache = answer(None);
+    assert!(with_cache.contains("\"expr_variant\":\""), "{with_cache}");
+    assert_eq!(without_cache, with_cache);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use std::io;
 use std::path::PathBuf;
 
-use lego_tune::Json;
+use crate::Json;
 
 /// Writes `BENCH_<name>.json` in the current directory and returns its
 /// path. `rows` should be self-describing objects (column → value).

@@ -413,6 +413,10 @@ pub struct FleetKeyReport {
     pub worker: usize,
     /// Wall-clock seconds this key took on its worker.
     pub elapsed_s: f64,
+    /// The cache entry a fresh search produced (`None` for hits and
+    /// failures): what the driver persists, and what a service promotes
+    /// into its memory tier.
+    pub entry: Option<CachedTuning>,
 }
 
 impl FleetKeyReport {
@@ -624,7 +628,6 @@ pub struct FleetDriver {
     cache: Option<TuningCache>,
     sidecar: Option<std::path::PathBuf>,
     transfer: bool,
-    divisor: usize,
 }
 
 impl FleetDriver {
@@ -635,7 +638,6 @@ impl FleetDriver {
             cache: None,
             sidecar: None,
             transfer: true,
-            divisor: TRANSFER_BUDGET_DIVISOR,
         }
     }
 
@@ -664,14 +666,6 @@ impl FleetDriver {
     #[must_use]
     pub fn with_transfer(mut self, transfer: bool) -> FleetDriver {
         self.transfer = transfer;
-        self
-    }
-
-    /// Overrides the transferred-search budget divisor (≥ 1; 1 keeps
-    /// the full budget and measures seeding quality alone).
-    #[must_use]
-    pub fn with_transfer_divisor(mut self, divisor: usize) -> FleetDriver {
-        self.divisor = divisor.max(1);
         self
     }
 
@@ -725,9 +719,6 @@ impl FleetDriver {
         }
 
         let results: Mutex<Vec<Option<FleetKeyReport>>> = Mutex::new(vec![None; n]);
-        // Fresh entries to persist, slotted by grid index so the merged
-        // write is deterministic in grid order.
-        let dirty: Mutex<Vec<Option<CachedTuning>>> = Mutex::new(vec![None; n]);
 
         // The persistent memo sidecar is parsed once here; each worker
         // installs it into its own thread-local memo tables before
@@ -747,13 +738,11 @@ impl FleetDriver {
             for w in 0..threads {
                 let sched = &sched;
                 let results = &results;
-                let dirty = &dirty;
                 let shards = &shards;
                 let grid_ref = grid;
                 let keys = &keys;
                 let deps = &deps;
                 let children = &children;
-                let divisor = self.divisor;
                 let sidecar_in = sidecar_in.as_ref();
                 let sidecar_out = sidecar_out.as_ref();
                 scope.spawn(move || {
@@ -761,14 +750,13 @@ impl FleetDriver {
                         crate::sidecar::install(sc);
                     }
                     while let Some(i) = sched.next(w) {
-                        let (report, entry) = run_key(grid_ref, keys, deps, shards, divisor, i, w);
-                        if let Some(entry) = entry {
+                        let report = run_key(grid_ref, keys, deps, shards, i, w);
+                        if let Some(entry) = &report.entry {
                             let shard = &shards[(fnv1a(&keys[i]) % SHARDS as u64) as usize];
                             shard
                                 .lock()
                                 .expect("shard poisoned")
                                 .insert(keys[i].clone(), entry.clone());
-                            dirty.lock().expect("dirty list poisoned")[i] = Some(entry);
                         }
                         results.lock().expect("results poisoned")[i] = Some(report);
                         // Dependents become runnable only now, with the
@@ -791,20 +779,24 @@ impl FleetDriver {
             }
         }
 
+        let mut reports: Vec<FleetKeyReport> = results
+            .into_inner()
+            .expect("results poisoned")
+            .into_iter()
+            .map(|r| r.expect("every key completed"))
+            .collect();
         if let Some(cache) = &self.cache {
-            let batch: Vec<(String, CachedTuning)> = dirty
-                .into_inner()
-                .expect("dirty list poisoned")
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, e)| Some((keys[i].clone(), e?)))
+            // Fresh entries in grid order, so the merged write is
+            // deterministic.
+            let batch: Vec<(String, CachedTuning)> = reports
+                .iter()
+                .filter_map(|r| Some((r.cache_key.clone(), r.entry.clone()?)))
                 .collect();
             if let Err(e) = cache.store_many(&batch) {
                 // Persisting is best-effort at this layer; surface the
                 // failure on every fresh key's report instead of
                 // panicking a completed run.
-                let mut results = results.lock().expect("results poisoned");
-                for r in results.iter_mut().flatten() {
+                for r in &mut reports {
                     if matches!(&r.result, Ok(t) if !t.from_cache) {
                         r.result = Err(format!("cache write failed: {e}"));
                     }
@@ -813,12 +805,7 @@ impl FleetDriver {
         }
 
         FleetReport {
-            keys: results
-                .into_inner()
-                .expect("results poisoned")
-                .into_iter()
-                .map(|r| r.expect("every key completed"))
-                .collect(),
+            keys: reports,
             threads,
             transfer: self.transfer,
             steals: sched.steals(),
@@ -827,18 +814,17 @@ impl FleetDriver {
     }
 }
 
-/// Tunes grid key `i` on worker `w`. Returns the report and, for fresh
-/// searches, the cache entry to publish (the caller inserts it into the
-/// shard *before* marking the key complete).
+/// Tunes grid key `i` on worker `w`. A fresh search's report carries
+/// the cache entry to publish (the caller inserts it into the shard
+/// *before* marking the key complete).
 fn run_key(
     grid: &[TuneRequest],
     keys: &[String],
     deps: &[Option<usize>],
     shards: &[Mutex<HashMap<String, CachedTuning>>],
-    divisor: usize,
     i: usize,
     w: usize,
-) -> (FleetKeyReport, Option<CachedTuning>) {
+) -> FleetKeyReport {
     let t0 = Instant::now();
     let req = &grid[i];
     let key = &keys[i];
@@ -855,7 +841,7 @@ fn run_key(
     let own = lookup(key);
     if let Some(hit) = &own {
         if req.satisfied_by(hit) {
-            let report = FleetKeyReport {
+            return FleetKeyReport {
                 request: req.clone(),
                 cache_key: key.clone(),
                 result: Ok(FleetTuned {
@@ -872,8 +858,8 @@ fn run_key(
                 seeds: 0,
                 worker: w,
                 elapsed_s: t0.elapsed().as_secs_f64(),
+                entry: None,
             };
-            return (report, None);
         }
     }
 
@@ -908,7 +894,9 @@ fn run_key(
     let budgeted = !matches!(req.strategy, Strategy::Exhaustive);
     let budget_override = if transferred_from.is_some() && budgeted {
         let cold = req.budget.max_evals();
-        Some(Budget((cold / divisor).max(TRANSFER_MIN_EVALS.min(cold))))
+        Some(Budget(
+            (cold / TRANSFER_BUDGET_DIVISOR).max(TRANSFER_MIN_EVALS.min(cold)),
+        ))
     } else {
         None
     };
@@ -947,7 +935,7 @@ fn run_key(
         }
         Err(e) => (Err(e.to_string()), None),
     };
-    let report = FleetKeyReport {
+    FleetKeyReport {
         request: req.clone(),
         cache_key: key.clone(),
         result,
@@ -955,8 +943,8 @@ fn run_key(
         seeds: seed_count,
         worker: w,
         elapsed_s: t0.elapsed().as_secs_f64(),
-    };
-    (report, entry)
+        entry,
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,9 +14,9 @@
 //!    batch-scoring, or budgeted [`Strategy::Anneal`] /
 //!    [`Strategy::Genetic`] metaheuristics driven by a seeded in-crate
 //!    RNG ([`rng::Rng`]) so every search replays deterministically —
-//!    every candidate priced by `gpu-sim`'s [`gpu_sim::score()`] oracle
-//!    (coalescing + bank conflicts + cache filtering + roofline timing
-//!    in one call);
+//!    every candidate built by [`space`] and priced by `gpu-sim`'s
+//!    [`gpu_sim::CostModel`] (coalescing + bank conflicts + cache
+//!    filtering + roofline timing in one call);
 //! 3. persists the winner *and the top-k frontier* in a JSON
 //!    [`TuningCache`] keyed by `(workload, problem size, hardware
 //!    config)`, so repeated runs skip the search and later searches
@@ -48,6 +48,7 @@
 
 pub mod cache;
 pub mod domain;
+pub mod emit;
 pub mod fleet;
 pub mod json;
 pub mod request;

@@ -118,7 +118,7 @@ mod tests {
             let cand = Candidate::annotated(&kind, &kind.default_config());
             let layout = build_layout(&kind, &cand.config).expect("default builds");
             let wl = build_workload(&kind, &cand, &gpu);
-            gpu_sim::score(&layout, &wl, &gpu)
+            gpu_sim::CostModel::new(&gpu).price(&layout, &wl)
         }
         let cold = price();
         let text = collect().render();

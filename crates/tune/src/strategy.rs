@@ -1,8 +1,8 @@
 //! Search strategies: how the tuner spends its evaluation budget.
 //!
 //! The v2 tuner had exactly one move — enumerate everything and
-//! batch-score it — which caps how rich the configuration space can get
-//! before `score_batch` dominates. This module adds budgeted
+//! batch-price it — which caps how rich the configuration space can get
+//! before `CostModel::price_batch` dominates. This module adds budgeted
 //! metaheuristics over the parameterized [`Domain`]:
 //!
 //! * [`Strategy::Exhaustive`] — score every point (the v2 behavior;
@@ -24,12 +24,12 @@
 //! a larger budget evaluates a superset of a smaller one — the winner
 //! can only improve (asserted by the budget-monotonicity test).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
-use gpu_sim::score::{score_batch, Estimate};
-use gpu_sim::GpuConfig;
+use gpu_sim::{CostModel, Estimate, GpuConfig, Workload};
 use lego_codegen::tuning::TunedConfig;
+use lego_core::Layout;
 
 use crate::cache::config_to_json;
 use crate::domain::Domain;
@@ -178,50 +178,87 @@ impl<'a> Evaluator<'a> {
         self.entries.len() >= self.max_evals
     }
 
-    /// Scores a batch of configs (deduplicated, in order) until the
-    /// budget runs out. Returns how many new configs were scored.
-    fn eval_batch(&mut self, configs: &[TunedConfig]) -> usize {
-        let mut fresh: Vec<(String, Candidate)> = Vec::new();
-        // In-batch dedup by key: the linear scan this replaces was
-        // O(batch²) on the large enumerated spaces.
-        let mut fresh_keys: HashSet<String> = HashSet::new();
-        let mut jobs = Vec::new();
+    /// Prices `configs` (deduplicated, in order) until the budget runs
+    /// out. Without pruning the whole batch goes to
+    /// [`CostModel::price_batch`] at once; with `prune` (the exhaustive
+    /// strategy only) the sweep proceeds in [`PRUNE_CHUNK`]-candidate
+    /// chunks, and before each chunk the [`FRONTIER_K`]-th best time
+    /// scored so far becomes the cutoff: any candidate whose
+    /// [`CostModel::bound`] *strictly* exceeds it is dismissed without
+    /// a traffic pass.
+    ///
+    /// Pruning is winner- and frontier-identical to the unpruned sweep:
+    /// the bound never exceeds the true time, and the cutoff only
+    /// tightens, so a pruned candidate's time strictly exceeds at least
+    /// [`FRONTIER_K`] final times — it could not have won or entered the
+    /// frontier (ties break toward lower indices, which scored entries
+    /// keep). Pruned candidates still count as evaluated, so budgets
+    /// and cache bookkeeping are numerically unchanged.
+    fn eval_batch(&mut self, configs: &[TunedConfig], prune: bool) {
+        let size = if prune {
+            PRUNE_CHUNK
+        } else {
+            configs.len().max(1)
+        };
+        for chunk in configs.chunks(size) {
+            let cutoff = if prune { self.prune_threshold() } else { None };
+            let staged = self.stage(chunk, cutoff);
+            self.commit(staged);
+        }
+    }
+
+    /// The staging step: builds the layout and workload of every config
+    /// not seen before, until the budget is spent. Each staged config is
+    /// entered in `seen` under the index [`Evaluator::commit`] will give
+    /// it, which also dedups within the batch. Unbuildable configs are
+    /// infeasible and not charged; configs whose bound exceeds `cutoff`
+    /// are charged as pruned. Both skip the traffic pass.
+    fn stage(
+        &mut self,
+        configs: &[TunedConfig],
+        cutoff: Option<f64>,
+    ) -> Vec<(Candidate, (Layout, Workload))> {
+        let model = CostModel::new(self.gpu);
+        let mut staged = Vec::new();
         for c in configs {
-            if self.entries.len() + fresh.len() >= self.max_evals {
+            if self.entries.len() + self.pruned + staged.len() >= self.max_evals {
                 break;
             }
             let key = config_key(c);
-            if self.seen.contains_key(&key) || fresh_keys.contains(&key) {
+            if self.seen.contains_key(&key) {
                 continue;
             }
             let cand = Candidate::annotated(&self.kind, c);
-            match build_layout(&self.kind, &cand.config) {
-                Ok(layout) => {
-                    let wl = build_workload(&self.kind, &cand, self.gpu);
-                    jobs.push((layout, wl));
-                    fresh_keys.insert(key.clone());
-                    fresh.push((key, cand));
-                }
-                // Unbuildable configs are infeasible, not charged.
-                Err(_) => {
-                    self.seen.insert(key, usize::MAX);
-                }
+            let Ok(layout) = build_layout(&self.kind, &cand.config) else {
+                self.seen.insert(key, usize::MAX);
+                continue;
+            };
+            let wl = build_workload(&self.kind, &cand, self.gpu);
+            // Prune only after a successful build, so the
+            // infeasible/evaluated split matches the unpruned sweep.
+            if cutoff.is_some_and(|t| model.bound(&wl) > t) {
+                self.seen.insert(key, usize::MAX);
+                self.pruned += 1;
+                continue;
             }
+            self.seen.insert(key, self.entries.len() + staged.len());
+            staged.push((cand, (layout, wl)));
         }
-        if fresh.is_empty() {
-            return 0;
-        }
-        let estimates = score_batch(jobs, self.gpu);
-        let added = fresh.len();
-        for ((key, cand), est) in fresh.into_iter().zip(estimates) {
+        staged
+    }
+
+    /// The commit step: prices the staged candidates in one batch and
+    /// records them in staging order, tracking the best.
+    fn commit(&mut self, staged: Vec<(Candidate, (Layout, Workload))>) {
+        let (cands, jobs): (Vec<Candidate>, Vec<(Layout, Workload)>) = staged.into_iter().unzip();
+        let estimates = CostModel::new(self.gpu).price_batch(jobs);
+        for (cand, est) in cands.into_iter().zip(estimates) {
             let idx = self.entries.len();
-            self.seen.insert(key, idx);
             self.entries.push((cand, est));
             if rank(&est) < rank(&self.entries[self.best].1) {
                 self.best = idx;
             }
         }
-        added
     }
 
     /// The branch-and-bound cutoff: the [`FRONTIER_K`]-th smallest time
@@ -236,77 +273,6 @@ impl<'a> Evaluator<'a> {
         Some(times[FRONTIER_K - 1])
     }
 
-    /// [`Evaluator::eval_batch`] with admissible lower-bound pruning,
-    /// used only by the exhaustive strategy. The sweep proceeds in
-    /// chunks; before each chunk the k-th-best scored time becomes the
-    /// cutoff, and any candidate whose [`gpu_sim::CostModel::bound`]
-    /// *strictly* exceeds it is dismissed without a traffic pass.
-    ///
-    /// Winner- and frontier-identical to the unpruned sweep: the bound
-    /// never exceeds the true time, and the cutoff only tightens, so a
-    /// pruned candidate's time strictly exceeds at least [`FRONTIER_K`]
-    /// final times — it could not have won or entered the frontier
-    /// (ties break toward lower indices, which scored entries keep).
-    /// Pruned candidates still count as evaluated, so budgets and
-    /// cache bookkeeping are numerically unchanged.
-    fn eval_batch_pruned(&mut self, configs: &[TunedConfig]) -> usize {
-        /// Candidates between threshold recomputations. Small enough
-        /// that the cutoff tightens while the sweep is still hot;
-        /// large enough that `score_batch` can fan out.
-        const PRUNE_CHUNK: usize = 32;
-        let model = gpu_sim::CostModel::new(self.gpu);
-        let mut added = 0;
-        for chunk in configs.chunks(PRUNE_CHUNK) {
-            let cutoff = self.prune_threshold();
-            let mut fresh: Vec<(String, Candidate)> = Vec::new();
-            let mut fresh_keys: HashSet<String> = HashSet::new();
-            let mut jobs = Vec::new();
-            for c in chunk {
-                if self.entries.len() + self.pruned + fresh.len() >= self.max_evals {
-                    break;
-                }
-                let key = config_key(c);
-                if self.seen.contains_key(&key) || fresh_keys.contains(&key) {
-                    continue;
-                }
-                let cand = Candidate::annotated(&self.kind, c);
-                match build_layout(&self.kind, &cand.config) {
-                    Ok(layout) => {
-                        let wl = build_workload(&self.kind, &cand, self.gpu);
-                        // Prune only after a successful build, so the
-                        // infeasible/evaluated split matches the
-                        // unpruned sweep exactly.
-                        if cutoff.is_some_and(|t| model.bound(&wl) > t) {
-                            self.seen.insert(key, usize::MAX);
-                            self.pruned += 1;
-                            continue;
-                        }
-                        jobs.push((layout, wl));
-                        fresh_keys.insert(key.clone());
-                        fresh.push((key, cand));
-                    }
-                    Err(_) => {
-                        self.seen.insert(key, usize::MAX);
-                    }
-                }
-            }
-            if fresh.is_empty() {
-                continue;
-            }
-            let estimates = score_batch(jobs, self.gpu);
-            added += fresh.len();
-            for ((key, cand), est) in fresh.into_iter().zip(estimates) {
-                let idx = self.entries.len();
-                self.seen.insert(key, idx);
-                self.entries.push((cand, est));
-                if rank(&est) < rank(&self.entries[self.best].1) {
-                    self.best = idx;
-                }
-            }
-        }
-        added
-    }
-
     /// Scores the default configuration — always the first evaluation,
     /// so it becomes entry zero (the naive baseline every strategy is
     /// compared against). Unlike [`Evaluator::eval`], a build failure
@@ -315,13 +281,14 @@ impl<'a> Evaluator<'a> {
     /// misattribute the naive baseline to some other candidate.
     fn eval_default(&mut self, c: &TunedConfig) -> Result<Estimate, TuneError> {
         debug_assert!(self.entries.is_empty(), "default must be entry zero");
-        let cand = Candidate::annotated(&self.kind, c);
-        let layout = build_layout(&self.kind, &cand.config)?;
-        let wl = build_workload(&self.kind, &cand, self.gpu);
-        let est = gpu_sim::score(&layout, &wl, self.gpu);
-        self.seen.insert(config_key(c), self.entries.len());
-        self.entries.push((cand, est));
-        Ok(est)
+        match self.eval(c) {
+            Some(est) => Ok(est),
+            // Every budget admits entry zero, so only a failed build
+            // lands here.
+            None => Err(build_layout(&self.kind, c)
+                .expect_err("an unpriced default must have failed to build")
+                .into()),
+        }
     }
 
     /// Scores one config, returning its estimate. `None` when the
@@ -329,26 +296,14 @@ impl<'a> Evaluator<'a> {
     /// unseen).
     fn eval(&mut self, c: &TunedConfig) -> Option<Estimate> {
         let key = config_key(c);
-        if let Some(&idx) = self.seen.get(&key) {
-            return (idx != usize::MAX).then(|| self.entries[idx].1);
-        }
-        if self.exhausted() {
-            return None;
-        }
-        let cand = Candidate::annotated(&self.kind, c);
-        let Ok(layout) = build_layout(&self.kind, &cand.config) else {
-            self.seen.insert(key, usize::MAX);
-            return None;
+        let idx = match self.seen.get(&key) {
+            Some(&idx) => idx,
+            None => {
+                self.eval_batch(std::slice::from_ref(c), false);
+                *self.seen.get(&key)?
+            }
         };
-        let wl = build_workload(&self.kind, &cand, self.gpu);
-        let est = gpu_sim::score(&layout, &wl, self.gpu);
-        let idx = self.entries.len();
-        self.seen.insert(key, idx);
-        self.entries.push((cand, est));
-        if rank(&est) < rank(&self.entries[self.best].1) {
-            self.best = idx;
-        }
-        Some(est)
+        (idx != usize::MAX).then(|| self.entries[idx].1)
     }
 
     fn best_config(&self) -> TunedConfig {
@@ -393,6 +348,11 @@ impl<'a> Evaluator<'a> {
 /// How many frontier configs are persisted per cache entry.
 pub const FRONTIER_K: usize = 8;
 
+/// Candidates between pruning-threshold recomputations in the
+/// exhaustive sweep. Small enough that the cutoff tightens while the
+/// sweep is still hot; large enough that `price_batch` can fan out.
+const PRUNE_CHUNK: usize = 32;
+
 /// Runs `strategy` over `domain` and returns the outcome.
 ///
 /// `seed_key` derives the deterministic RNG (pass the tuning cache key);
@@ -411,7 +371,7 @@ pub fn run_search(
     warm_start: &[TunedConfig],
 ) -> Result<SearchOutcome, TuneError> {
     let mut rng = Rng::from_key(&format!("{seed_key}|{}", strategy.name()));
-    // Traffic-memo probes all land on this thread (`score_batch` looks
+    // Traffic-memo probes all land on this thread (`price_batch` looks
     // keys up before fanning out), so the stat delta around the search
     // is exactly this search's hit/miss count.
     let (hits0, misses0) = gpu_sim::traffic_memo_stats();
@@ -424,7 +384,7 @@ pub fn run_search(
             let all = domain.enumerate();
             let mut eval = Evaluator::new(domain.kind, gpu, all.len().max(1));
             eval.eval_default(&domain.default_config())?;
-            eval.eval_batch_pruned(&all);
+            eval.eval_batch(&all, true);
             eval.finish()
         }
         Strategy::Anneal => {
@@ -570,17 +530,17 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
     // superset of a smaller one.
     let mut polished_best: Option<TunedConfig> = None;
     let half = POP / 2;
-    eval.eval_batch(&pop[..half.min(pop.len())]);
+    eval.eval_batch(&pop[..half.min(pop.len())], false);
     loop {
         let best = eval.best_config();
         if polished_best == Some(best) || eval.exhausted() {
             break;
         }
         polished_best = Some(best);
-        eval.eval_batch(&domain.local_neighbors(&best));
+        eval.eval_batch(&domain.local_neighbors(&best), false);
     }
     if pop.len() > half {
-        eval.eval_batch(&pop[half..]);
+        eval.eval_batch(&pop[half..], false);
     }
 
     let max_generations = 4 * eval.max_evals / LAMBDA.min(eval.max_evals).max(1) + 4;
@@ -596,7 +556,7 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
                 break;
             }
             polished_best = Some(best);
-            eval.eval_batch(&domain.local_neighbors(&best));
+            eval.eval_batch(&domain.local_neighbors(&best), false);
         }
         if eval.exhausted() {
             break;
@@ -638,7 +598,7 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
             }
             children.push(child);
         }
-        eval.eval_batch(&children);
+        eval.eval_batch(&children, false);
         pop = elites;
         pop.extend(children);
     }

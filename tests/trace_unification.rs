@@ -1,250 +1,44 @@
-//! Cross-crate price unification: the estimate a `lego-bench` driver
-//! prints in a paper table and the estimate the `lego-tune` oracle
-//! ranks must be *bit-identical* for the same (workload, config,
-//! hardware) — for **every** workload, including the additive-launch
-//! NW/LUD wavefronts, on every device (A100, H100 and the warp-64
-//! MI300) — because both route through the shared `gpu_sim::trace`
-//! builders and the one `CostModel` pricing engine, so nothing can
-//! drift. Plus property tests for the occupancy model.
+//! Cross-crate pricing checks: the NW per-block pass count against the
+//! priced smem phase, property tests for the occupancy model, and the
+//! tuner's end-to-end handling of the additive-launch NW/LUD kinds, on
+//! every device (A100, H100 and the warp-64 MI300). Paper tables and
+//! tuner rankings share one pricing path — `lego_tune::space` builds,
+//! `gpu_sim::CostModel` prices — so they need no parity test.
 
 mod prop_support;
 
-use gpu_sim::{a100, h100, mi300, score, Estimate, GpuConfig, KernelProfile};
-use lego_bench::workloads::matmul::Schedule;
-use lego_bench::workloads::rowwise::RowwiseBench;
-use lego_bench::workloads::{lud as bench_lud, matmul, nw as bench_nw, stencil, transpose};
+use gpu_sim::trace::{NwWavefront, TraceBuilder};
+use gpu_sim::{a100, h100, mi300, CostModel, GpuConfig, KernelProfile};
 use lego_codegen::cuda::stencil::StencilShape;
-use lego_codegen::cuda::transpose::TransposeVariant;
 use lego_core::Layout;
-use lego_tune::{
-    build_layout, build_workload, Candidate, RowwiseOp, ScheduleChoice, StagingChoice,
-    StencilLayoutChoice, TunedConfig, WorkloadKind,
-};
+use lego_tune::{build_layout, WorkloadKind};
 use prop_support::Rng;
 
-/// Every device configuration of the model — each parity test runs on
-/// all of them, so an NVIDIA-shaped assumption anywhere in the pricing
-/// path shows up as a cross-crate mismatch on the MI300.
+/// Every device configuration of the model, so an NVIDIA-shaped
+/// assumption anywhere in the pricing path shows up on the MI300.
 fn devices() -> [GpuConfig; 3] {
     [a100(), h100(), mi300()]
 }
 
-/// The tuner-oracle estimate for a config, with the tuner-only
-/// index-expression flop term zeroed so it prices exactly what the
-/// bench drivers price.
-fn oracle(kind: WorkloadKind, config: TunedConfig, cfg: &GpuConfig) -> Estimate {
-    let candidate = Candidate {
-        config,
-        expr_variant: None,
-        index_ops: None,
-    };
-    let layout = build_layout(&kind, &config).expect("layout");
-    let workload = build_workload(&kind, &candidate, cfg);
-    score(&layout, &workload, cfg)
-}
-
+/// The NW per-block pass count — a direct bank-conflict count of one
+/// block's wavefront sweep — is the smem phase the cost model prices,
+/// block for block, on every device.
 #[test]
-fn matmul_bench_and_oracle_estimates_are_bit_identical() {
+fn nw_block_passes_match_the_priced_smem_phase() {
+    let (n, b) = (2048i64, 16i64);
+    let blocks = 2.0 * ((n / b) * (n / b)) as f64;
+    let k = lego_codegen::cuda::nw::generate(b).unwrap();
     for cfg in devices() {
-        for (n, tiles, gm) in [(2048i64, (128, 128, 64), 8i64), (4096, (64, 64, 32), 4)] {
-            let bench = matmul::estimate(n, tiles, Schedule::Grouped { gm }, &cfg);
-            let (bm, bn, bk) = tiles;
-            let tuned = oracle(
-                WorkloadKind::Matmul { n },
-                TunedConfig::Matmul {
-                    bm,
-                    bn,
-                    bk,
-                    schedule: ScheduleChoice::Grouped { gm },
-                },
-                &cfg,
-            );
-            assert_eq!(bench, tuned, "n={n} tiles={tiles:?} on {}", cfg.name);
-
-            // Row-major schedule too.
-            let bench = matmul::estimate(n, tiles, Schedule::RowMajor, &cfg);
-            let tuned = oracle(
-                WorkloadKind::Matmul { n },
-                TunedConfig::Matmul {
-                    bm,
-                    bn,
-                    bk,
-                    schedule: ScheduleChoice::RowMajor,
-                },
-                &cfg,
-            );
-            assert_eq!(bench, tuned, "row-major n={n} on {}", cfg.name);
-        }
-    }
-}
-
-#[test]
-fn transpose_bench_and_oracle_estimates_are_bit_identical() {
-    for cfg in devices() {
-        for n in [1024i64, 2048] {
-            // Naive <-> staging None.
-            let bench = transpose::estimate(n, 32, TransposeVariant::Naive, &cfg);
-            let tuned = oracle(
-                WorkloadKind::Transpose { n },
-                TunedConfig::Transpose {
-                    t: 32,
-                    staging: None,
-                },
-                &cfg,
-            );
-            assert_eq!(bench, tuned, "naive n={n} on {}", cfg.name);
-
-            // SmemCoalesced <-> Swizzle staging (the generated kernel's
-            // staging layout is the swizzle).
-            let bench = transpose::estimate(n, 32, TransposeVariant::SmemCoalesced, &cfg);
-            let tuned = oracle(
-                WorkloadKind::Transpose { n },
-                TunedConfig::Transpose {
-                    t: 32,
-                    staging: Some(StagingChoice::Swizzle),
-                },
-                &cfg,
-            );
-            assert_eq!(bench, tuned, "smem n={n} on {}", cfg.name);
-        }
-    }
-}
-
-#[test]
-fn stencil_bench_and_oracle_estimates_are_bit_identical() {
-    for cfg in devices() {
-        stencil_parity_on(&cfg);
-    }
-}
-
-fn stencil_parity_on(cfg: &GpuConfig) {
-    let cfg = cfg.clone();
-    for shape in [StencilShape::Star(2), StencilShape::Cube(1)] {
-        let n = 32i64;
-        let bench_kernels = lego_codegen::cuda::stencil::generate(shape, n, 8).unwrap();
-        // Row-major baseline: (4, lane, 4) tiles, lanes along y.
-        let bench = stencil::estimate(
-            &bench_kernels.row_major,
-            shape,
+        let workload = NwWavefront {
             n,
-            (4, 32, 4),
-            stencil::LaneAxis::Y,
-            &cfg,
-        );
-        let tuned = oracle(
-            WorkloadKind::Stencil { shape, n },
-            TunedConfig::Stencil {
-                n,
-                layout: StencilLayoutChoice::RowMajorY,
-            },
-            &cfg,
-        );
-        assert_eq!(bench, tuned, "{} row-major", shape.name());
-
-        // Brick layout, brick-local lanes.
-        let bench = stencil::estimate(
-            &bench_kernels.brick,
-            shape,
-            n,
-            (8, 8, 8),
-            stencil::LaneAxis::YZ,
-            &cfg,
-        );
-        let tuned = oracle(
-            WorkloadKind::Stencil { shape, n },
-            TunedConfig::Stencil {
-                n,
-                layout: StencilLayoutChoice::Brick { b: 8 },
-            },
-            &cfg,
-        );
-        assert_eq!(bench, tuned, "{} brick", shape.name());
-    }
-}
-
-/// NW and LUD prices — not just traces — are bit-identical between the
-/// bench drivers and the tuner oracle on every device: both go through
-/// the one `CostModel` under `PricingMode::AdditiveLaunch`, and the
-/// bench crate no longer owns any pricing loop of its own.
-#[test]
-fn nw_and_lud_prices_are_bit_identical() {
-    use lego_codegen::tuning::NwLayoutChoice;
-    for cfg in devices() {
-        // NW: the full additive-launch estimate, both buffer layouts.
-        for (optimized, layout) in [
-            (false, NwLayoutChoice::RowMajor),
-            (true, NwLayoutChoice::Antidiag),
-        ] {
-            let bench = bench_nw::estimate(2048, 16, optimized, &cfg);
-            let tuned = oracle(
-                WorkloadKind::Nw { n: 2048, b: 16 },
-                TunedConfig::Nw { b: 16, layout },
-                &cfg,
-            );
-            assert_eq!(bench, tuned, "nw optimized={optimized} on {}", cfg.name);
+            b,
+            index_flops: 0.0,
         }
-
-        // The bench driver's per-block pass count is still the oracle's
-        // smem phase, block for block.
-        let k = lego_codegen::cuda::nw::generate(16).unwrap();
+        .build(&cfg);
         for layout in [&k.baseline, &k.optimized] {
-            let bench_passes = bench_nw::block_smem_passes(layout, 16, &cfg);
-            let nb = 2048 / 16;
-            let blocks = 2.0 * (nb * nb) as f64;
-            let tuned = score(
-                layout,
-                &gpu_sim::trace::TraceBuilder::build(
-                    &gpu_sim::trace::NwWavefront {
-                        n: 2048,
-                        b: 16,
-                        index_flops: 0.0,
-                    },
-                    &cfg,
-                ),
-                &cfg,
-            );
-            assert_eq!(tuned.smem_passes, bench_passes * blocks);
-        }
-
-        // LUD: the bench estimate IS the oracle estimate (layout-free
-        // panel trace).
-        for (n, bs) in [(2048i64, 16i64), (2048, 64), (4096, 128)] {
-            let bench = bench_lud::estimate(n, bs, &cfg);
-            let tuned = oracle(
-                WorkloadKind::Lud { n, bs: 16 },
-                TunedConfig::Lud { r: bs / 16, t: 16 },
-                &cfg,
-            );
-            assert_eq!(bench, tuned, "lud n={n} bs={bs} on {}", cfg.name);
-        }
-    }
-}
-
-/// The row-wise operators complete the "every workload" guarantee: the
-/// bench-side `RowwiseBench::estimate` and the tuner oracle price the
-/// same `RowwiseSweep` trace through the same cost model.
-#[test]
-fn rowwise_prices_are_bit_identical() {
-    let pairs = [
-        (RowwiseBench::Softmax, RowwiseOp::Softmax),
-        (RowwiseBench::LayernormFwd, RowwiseOp::LayernormFwd),
-        (RowwiseBench::LayernormBwd, RowwiseOp::LayernormBwd),
-    ];
-    for cfg in devices() {
-        for (bench_op, tune_op) in pairs {
-            for bs in [256i64, 4096] {
-                let bench = bench_op.estimate(4096, 4096, bs, &cfg);
-                let tuned = oracle(
-                    WorkloadKind::Rowwise {
-                        op: tune_op,
-                        m: 4096,
-                        n: 4096,
-                    },
-                    TunedConfig::Rowwise { op: tune_op, bs },
-                    &cfg,
-                );
-                assert_eq!(bench, tuned, "{:?} bs={bs} on {}", bench_op, cfg.name);
-            }
+            let passes = NwWavefront::block_passes(layout, b, &cfg);
+            let priced = CostModel::new(&cfg).price(layout, &workload);
+            assert_eq!(priced.smem_passes, passes * blocks, "{}", cfg.name);
         }
     }
 }
