@@ -1,8 +1,8 @@
 //! `lego-fleet`: fleet-scale parallel tuning from the command line.
 //!
 //! Expands a [`FleetSpec`] grid (`family:lo..hixSTEP[,...][@devices]`)
-//! into tuning requests and runs them through the work-stealing
-//! [`FleetDriver`] — warm per-worker expression arenas, frontier
+//! into tuning requests and runs them through the [`FleetDriver`]'s
+//! shared ready queue — warm per-worker expression arenas, frontier
 //! transfer between neighboring keys, one merged cache write. Two
 //! modes:
 //!
@@ -27,28 +27,12 @@
 use std::collections::HashMap;
 use std::process::exit;
 
-use lego_tune::domain::SpaceScale;
+use lego_bench::tuned::{device_from_args, flag_value, sidecar_from_args, space_from_args};
 use lego_tune::fleet::FleetReport;
 use lego_tune::{emit, Budget, FleetDriver, FleetSpec, Json, Strategy, TuneRequest};
 
 /// The default smoke grid: three families × two devices, 26 keys.
 const DEFAULT_GRID: &str = "matmul:256..2048x2,nw:512..4096x2,softmax:1k..16kx2@a100,h100";
-
-fn flag(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return match args.next() {
-                Some(v) => Some(v),
-                None => {
-                    eprintln!("{name} requires a value");
-                    exit(2);
-                }
-            };
-        }
-    }
-    None
-}
 
 fn has(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -99,7 +83,7 @@ fn print_report(report: &FleetReport) {
     let c = report.counters();
     println!(
         "{} keys on {} threads in {:.2}s ({:.2} keys/s) — {} hits, {} searched \
-         ({} transferred, {} evals saved, mean {:.1} evals to winner), {} steals",
+         ({} transferred, {} evals saved, mean {:.1} evals to winner)",
         report.keys.len(),
         report.threads,
         report.elapsed_s,
@@ -109,7 +93,6 @@ fn print_report(report: &FleetReport) {
         c.transfers,
         c.evals_saved,
         c.mean_evals_to_winner(),
-        report.steals,
     );
 }
 
@@ -130,45 +113,31 @@ fn phase_summary(report: &FleetReport, phase: &str) -> Json {
 }
 
 fn main() {
-    let spec_text = flag("--grid").unwrap_or_else(|| DEFAULT_GRID.to_string());
+    let spec_text = flag_value("--grid").unwrap_or_else(|| DEFAULT_GRID.to_string());
     let spec = FleetSpec::parse(&spec_text).unwrap_or_else(|e| {
         eprintln!("bad --grid: {e}");
         exit(2);
     });
-    let device = match flag("--device") {
-        None => gpu_sim::a100(),
-        Some(v) => gpu_sim::by_name(&v).unwrap_or_else(|| {
-            eprintln!(
-                "unknown --device {v:?} (use {})",
-                gpu_sim::DEVICE_TAGS.join("|")
-            );
-            exit(2);
-        }),
-    };
-    let strategy = match flag("--strategy") {
+    let device = device_from_args();
+    let strategy = match flag_value("--strategy") {
         None => Strategy::Anneal,
         Some(v) => Strategy::parse(&v).unwrap_or_else(|| {
             eprintln!("unknown --strategy {v:?} (use exhaustive|anneal|genetic)");
             exit(2);
         }),
     };
-    let budget = Budget(match flag("--budget") {
+    let budget = Budget(match flag_value("--budget") {
         None => 160,
         Some(v) => parse_or_exit::<usize>("--budget", &v),
     });
-    let space: Option<SpaceScale> = flag("--space").map(|v| {
-        SpaceScale::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --space {v:?} (use legacy|enlarged)");
-            exit(2);
-        })
-    });
-    let threads = match flag("--threads") {
+    let space = space_from_args();
+    let threads = match flag_value("--threads") {
         None => 4,
         Some(v) => parse_or_exit::<usize>("--threads", &v),
     };
     let min_speedup: f64 =
-        flag("--min-speedup").map_or(1.5, |v| parse_or_exit::<f64>("--min-speedup", &v));
-    let tol: f64 = flag("--tol").map_or(0.05, |v| parse_or_exit::<f64>("--tol", &v));
+        flag_value("--min-speedup").map_or(1.5, |v| parse_or_exit::<f64>("--min-speedup", &v));
+    let tol: f64 = flag_value("--tol").map_or(0.05, |v| parse_or_exit::<f64>("--tol", &v));
 
     let grid: Vec<TuneRequest> = spec.requests(&device, strategy, budget, space);
     println!(
@@ -183,10 +152,10 @@ fn main() {
     }
 
     let mut driver = FleetDriver::new(threads).with_transfer(!has("--no-transfer"));
-    if let Some(path) = flag("--cache") {
+    if let Some(path) = flag_value("--cache") {
         driver = driver.with_cache(path);
     }
-    if let Some(path) = flag("--sidecar") {
+    if let Some(path) = sidecar_from_args() {
         driver = driver.with_sidecar(path);
     }
     let report = driver.run(&grid);

@@ -72,7 +72,7 @@ pub fn bench_name(base: &str, cfg: &GpuConfig) -> String {
 /// flag is absent; a flag given without a value (end of line, or
 /// followed by another `--flag`) aborts with a usage message instead of
 /// silently falling back to the default.
-fn flag_value(flag: &str) -> Option<String> {
+pub fn flag_value(flag: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == flag {

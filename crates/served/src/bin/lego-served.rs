@@ -8,10 +8,9 @@
 //! Listens for line-JSON requests (`tune`, `fleet`, `metrics`,
 //! `shutdown`) and serves best-config answers through the three-tier
 //! path described in `lego_served::service` — the `fleet` verb tunes a
-//! whole grid at once through the work-stealing
-//! [`lego_tune::FleetDriver`]. Runs until a client sends the `shutdown`
-//! verb, then drains in-flight work, flushes the tuning cache, and
-//! exits 0.
+//! whole grid at once through [`lego_tune::FleetDriver`]. Runs until a
+//! client sends the `shutdown` verb, then drains in-flight work, flushes
+//! the tuning cache, and exits 0.
 
 use std::path::PathBuf;
 
@@ -95,18 +94,10 @@ fn main() {
         }
     }
     if let Some(path) = flag_value("--cache") {
-        cfg.cache = if path == "none" {
-            None
-        } else {
-            Some(PathBuf::from(path))
-        };
+        cfg.cache = (path != "none").then(|| PathBuf::from(path));
     }
     if let Some(path) = flag_value("--sidecar") {
-        cfg.sidecar = if path == "none" {
-            None
-        } else {
-            Some(PathBuf::from(path))
-        };
+        cfg.sidecar = (path != "none").then(|| PathBuf::from(path));
     }
     if let Some(dev) = flag_value("--device-default") {
         cfg.device_default = gpu_sim::lookup(&dev).unwrap_or_else(|| {

@@ -87,7 +87,7 @@ impl Client {
     }
 
     /// Issues a `fleet` request: tunes a whole grid through the
-    /// daemon's work-stealing driver and returns the run summary with
+    /// daemon's fleet driver and returns the run summary with
     /// per-key outcomes.
     ///
     /// # Errors

@@ -46,17 +46,21 @@ struct Inner {
     /// Completed fleet runs and their summed counters.
     fleet_runs: u64,
     fleet: FleetCounters,
-    /// Latest arena snapshot per worker thread (counters are monotone
+    /// Latest memo snapshot per worker thread (counters are monotone
     /// per thread, so "latest" is "total").
-    arena: BTreeMap<usize, ArenaStats>,
-    /// Latest `(installed, hits)` of sidecar-imported *annotations* per
-    /// worker thread (same monotone-snapshot convention). The arena's
-    /// own sidecar counters ride along in `arena`.
-    ann_sidecar: BTreeMap<usize, (u64, u64)>,
-    /// Latest `(hits, misses)` of the traffic memo — the cost model's
-    /// geometry-keyed trace cache — per worker thread (same
-    /// monotone-snapshot convention).
-    traffic: BTreeMap<usize, (u64, u64)>,
+    workers: BTreeMap<usize, WorkerStats>,
+}
+
+/// One worker thread's memo counters.
+struct WorkerStats {
+    /// Expression arena and memo tables, their sidecar counters
+    /// included.
+    arena: ArenaStats,
+    /// `(installed, hits)` of sidecar-imported candidate annotations.
+    annotations: (u64, u64),
+    /// `(hits, misses)` of the traffic memo — the cost model's
+    /// geometry-keyed trace cache.
+    traffic: (u64, u64),
 }
 
 /// The service-wide metrics registry. All methods take `&self`.
@@ -78,13 +82,13 @@ impl Metrics {
     pub fn record_tune(&self, class: &str, tier: Tier, ok: bool, elapsed_ms: f64) {
         let mut inner = self.inner.lock().expect("metrics poisoned");
         inner.requests += 1;
-        inner.tiers[tier_index(tier)] += 1;
+        inner.tiers[tier as usize] += 1;
         if !ok {
             inner.errors += 1;
         }
         let entry = inner.classes.entry(class.to_string()).or_default();
         entry.requests += 1;
-        entry.tiers[tier_index(tier)] += 1;
+        entry.tiers[tier as usize] += 1;
         if !ok {
             entry.errors += 1;
         }
@@ -115,34 +119,27 @@ impl Metrics {
         }
     }
 
-    /// Publishes worker `idx`'s current arena counters.
-    pub fn record_arena(&self, idx: usize, stats: ArenaStats) {
+    /// Publishes the calling thread's memo counters as worker `idx`'s:
+    /// the expression arena, the annotation sidecar, and the traffic
+    /// memo are all per thread, so each worker reports its own.
+    pub fn record_worker(&self, idx: usize) {
+        let stats = WorkerStats {
+            arena: lego_expr::intern::stats(),
+            annotations: lego_tune::annotate_sidecar_stats(),
+            traffic: gpu_sim::traffic_memo_stats(),
+        };
         let mut inner = self.inner.lock().expect("metrics poisoned");
-        inner.arena.insert(idx, stats);
-    }
-
-    /// Publishes worker `idx`'s current annotation-sidecar counters
-    /// (`(installed, hits)`, monotone per thread).
-    pub fn record_sidecar(&self, idx: usize, stats: (u64, u64)) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
-        inner.ann_sidecar.insert(idx, stats);
-    }
-
-    /// Publishes worker `idx`'s current traffic-memo counters
-    /// (`(hits, misses)`, monotone per thread).
-    pub fn record_traffic(&self, idx: usize, stats: (u64, u64)) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
-        inner.traffic.insert(idx, stats);
+        inner.workers.insert(idx, stats);
     }
 
     /// Count of fresh searches run (the herd invariant's counter).
     pub fn searches_run(&self) -> u64 {
-        self.inner.lock().expect("metrics poisoned").tiers[tier_index(Tier::Searched)]
+        self.inner.lock().expect("metrics poisoned").tiers[Tier::Searched as usize]
     }
 
     /// Count of requests that blocked on another's in-flight search.
     pub fn coalesced_waits(&self) -> u64 {
-        self.inner.lock().expect("metrics poisoned").tiers[tier_index(Tier::Coalesced)]
+        self.inner.lock().expect("metrics poisoned").tiers[Tier::Coalesced as usize]
     }
 
     /// The full metrics report (the `metrics` verb's response).
@@ -154,12 +151,7 @@ impl Metrics {
             Json::Obj(
                 Tier::ALL
                     .iter()
-                    .map(|t| {
-                        (
-                            t.name().to_string(),
-                            Json::Int(tiers[tier_index(*t)] as i64),
-                        )
-                    })
+                    .map(|t| (t.name().to_string(), Json::Int(tiers[*t as usize] as i64)))
                     .collect(),
             )
         };
@@ -187,12 +179,9 @@ impl Metrics {
                 .collect(),
         );
 
-        // Sum arena counters across workers; each worker's snapshot is
+        // Sums one counter across workers; each worker's snapshot is
         // its thread's monotone total.
-        let arena = inner
-            .arena
-            .values()
-            .fold(ArenaStats::default(), |acc, s| add_stats(&acc, s));
+        let sum = |f: fn(&WorkerStats) -> u64| inner.workers.values().map(f).sum::<u64>();
         let rate = |hits: u64, misses: u64| {
             let total = hits + misses;
             if total == 0 {
@@ -202,32 +191,23 @@ impl Metrics {
             }
         };
 
-        // Sidecar warm-start attribution: arena memo hits served from
-        // installed entries plus annotation-cache hits served from
-        // imported entries, summed across workers.
-        let (ann_installed, ann_hits) = inner
-            .ann_sidecar
-            .values()
-            .fold((0u64, 0u64), |(i, h), (wi, wh)| (i + wi, h + wh));
-
-        // Traffic-memo probes, summed across workers: how often the
-        // two-tier cost model re-timed a known geometry without a
-        // trace replay.
-        let (tr_hits, tr_misses) = inner
-            .traffic
-            .values()
-            .fold((0u64, 0u64), |(h, m), (wh, wm)| (h + wh, m + wm));
+        // Traffic-memo probes: how often the two-tier cost model
+        // re-timed a known geometry without a trace replay.
+        let (tr_hits, tr_misses) = (sum(|w| w.traffic.0), sum(|w| w.traffic.1));
 
         Json::obj([
             ("ok", Json::Bool(true)),
             ("uptime_s", Json::num(uptime_s)),
+            // Sidecar warm-start attribution: arena memo hits served
+            // from installed entries plus annotation-cache hits served
+            // from imported entries.
             (
                 "sidecar_warm_hits",
-                Json::Int((arena.sidecar_hits + ann_hits) as i64),
+                Json::Int(sum(|w| w.arena.sidecar_hits + w.annotations.1) as i64),
             ),
             (
                 "sidecar_installed",
-                Json::Int((arena.sidecar_installed + ann_installed) as i64),
+                Json::Int(sum(|w| w.arena.sidecar_installed + w.annotations.0) as i64),
             ),
             ("requests", Json::Int(inner.requests as i64)),
             ("qps", Json::num(inner.requests as f64 / uptime_s)),
@@ -236,11 +216,11 @@ impl Metrics {
             ("tiers", tier_obj(&inner.tiers)),
             (
                 "searches_run",
-                Json::Int(inner.tiers[tier_index(Tier::Searched)] as i64),
+                Json::Int(inner.tiers[Tier::Searched as usize] as i64),
             ),
             (
                 "coalesced_waits",
-                Json::Int(inner.tiers[tier_index(Tier::Coalesced)] as i64),
+                Json::Int(inner.tiers[Tier::Coalesced as usize] as i64),
             ),
             ("classes", classes),
             ("fleet", {
@@ -261,15 +241,21 @@ impl Metrics {
             (
                 "arena",
                 Json::obj([
-                    ("workers", Json::Int(inner.arena.len() as i64)),
-                    ("nodes", Json::Int(arena.nodes as i64)),
+                    ("workers", Json::Int(inner.workers.len() as i64)),
+                    ("nodes", Json::Int(sum(|w| w.arena.nodes) as i64)),
                     (
                         "intern_hit_rate",
-                        Json::num(rate(arena.intern_hits, arena.intern_misses)),
+                        Json::num(rate(
+                            sum(|w| w.arena.intern_hits),
+                            sum(|w| w.arena.intern_misses),
+                        )),
                     ),
                     (
                         "memo_hit_rate",
-                        Json::num(rate(arena.memo_hits(), arena.memo_misses())),
+                        Json::num(rate(
+                            sum(|w| w.arena.memo_hits()),
+                            sum(|w| w.arena.memo_misses()),
+                        )),
                     ),
                 ]),
             ),
@@ -283,15 +269,6 @@ impl Default for Metrics {
     }
 }
 
-fn tier_index(tier: Tier) -> usize {
-    match tier {
-        Tier::Memory => 0,
-        Tier::Cache => 1,
-        Tier::Coalesced => 2,
-        Tier::Searched => 3,
-    }
-}
-
 /// Nearest-rank percentile of an ascending-sorted slice (0 when empty).
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     if sorted_ms.is_empty() {
@@ -299,30 +276,6 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted_ms.len() - 1) as f64 * q).round() as usize;
     sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
-fn add_stats(a: &ArenaStats, b: &ArenaStats) -> ArenaStats {
-    ArenaStats {
-        nodes: a.nodes + b.nodes,
-        intern_hits: a.intern_hits + b.intern_hits,
-        intern_misses: a.intern_misses + b.intern_misses,
-        simplify_hits: a.simplify_hits + b.simplify_hits,
-        simplify_misses: a.simplify_misses + b.simplify_misses,
-        pass_hits: a.pass_hits + b.pass_hits,
-        pass_misses: a.pass_misses + b.pass_misses,
-        opcount_hits: a.opcount_hits + b.opcount_hits,
-        opcount_misses: a.opcount_misses + b.opcount_misses,
-        range_hits: a.range_hits + b.range_hits,
-        range_misses: a.range_misses + b.range_misses,
-        prove_hits: a.prove_hits + b.prove_hits,
-        prove_misses: a.prove_misses + b.prove_misses,
-        expand_hits: a.expand_hits + b.expand_hits,
-        expand_misses: a.expand_misses + b.expand_misses,
-        saturate_hits: a.saturate_hits + b.saturate_hits,
-        saturate_misses: a.saturate_misses + b.saturate_misses,
-        sidecar_installed: a.sidecar_installed + b.sidecar_installed,
-        sidecar_hits: a.sidecar_hits + b.sidecar_hits,
-    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,11 @@
 //! space). The `fleet` verb requires only `grid` (a
 //! [`FleetSpec`] string); its strategy defaults to `anneal` — a fleet
 //! exists to amortize budgeted searches — and `transfer` (boolean)
-//! defaults to true. Responses always carry `"ok"`; failures look like
-//! `{"ok": false, "error": "..."}` and never close the connection —
-//! a malformed line costs one error response, nothing more.
+//! defaults to true, and `threads` to 4 (at most
+//! [`MAX_FLEET_THREADS`]). Responses always carry `"ok"`; failures look
+//! like `{"ok": false, "error": "..."}` and never close the connection
+//! — a malformed line, or one over [`MAX_LINE_BYTES`], costs one error
+//! response, nothing more.
 //!
 //! Tune responses are *deterministic*: they contain only the served
 //! result (winner config, estimates, evaluation count), never
@@ -31,6 +33,14 @@ use gpu_sim::GpuConfig;
 use lego_tune::domain::SpaceScale;
 use lego_tune::strategy::{Budget, Strategy};
 use lego_tune::{FleetSpec, Json, TuneRequest, WorkloadKind};
+
+/// Longest request line the daemon reads, newline included. A longer
+/// line is skipped to its newline and answered with an error.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Most worker threads one `fleet` request may ask for (each is an OS
+/// thread for the length of the run).
+pub const MAX_FLEET_THREADS: usize = 64;
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,22 +82,14 @@ impl TuneSpec {
 
     /// Renders the spec as a request line's JSON object.
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("verb".to_string(), Json::Str("tune".into())),
-            ("workload".to_string(), Json::Str(self.workload.clone())),
-        ];
-        let mut opt = |k: &str, v: &Option<String>| {
-            if let Some(v) = v {
-                pairs.push((k.to_string(), Json::Str(v.clone())));
-            }
-        };
-        opt("device", &self.device);
-        opt("strategy", &self.strategy);
-        opt("space", &self.space);
-        if let Some(b) = self.budget {
-            pairs.push(("budget".to_string(), Json::Int(b as i64)));
-        }
-        Json::Obj(pairs)
+        present([
+            ("verb", Some(Json::Str("tune".into()))),
+            ("workload", Some(Json::Str(self.workload.clone()))),
+            ("device", self.device.clone().map(Json::Str)),
+            ("strategy", self.strategy.clone().map(Json::Str)),
+            ("space", self.space.clone().map(Json::Str)),
+            ("budget", self.budget.map(|b| Json::Int(b as i64))),
+        ])
     }
 }
 
@@ -124,29 +126,22 @@ impl FleetWire {
 
     /// Renders the spec as a request line's JSON object.
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("verb".to_string(), Json::Str("fleet".into())),
-            ("grid".to_string(), Json::Str(self.grid.clone())),
-        ];
-        let mut opt = |k: &str, v: &Option<String>| {
-            if let Some(v) = v {
-                pairs.push((k.to_string(), Json::Str(v.clone())));
-            }
-        };
-        opt("device", &self.device);
-        opt("strategy", &self.strategy);
-        opt("space", &self.space);
-        if let Some(b) = self.budget {
-            pairs.push(("budget".to_string(), Json::Int(b as i64)));
-        }
-        if let Some(t) = self.threads {
-            pairs.push(("threads".to_string(), Json::Int(t as i64)));
-        }
-        if let Some(t) = self.transfer {
-            pairs.push(("transfer".to_string(), Json::Bool(t)));
-        }
-        Json::Obj(pairs)
+        present([
+            ("verb", Some(Json::Str("fleet".into()))),
+            ("grid", Some(Json::Str(self.grid.clone()))),
+            ("device", self.device.clone().map(Json::Str)),
+            ("strategy", self.strategy.clone().map(Json::Str)),
+            ("space", self.space.clone().map(Json::Str)),
+            ("budget", self.budget.map(|b| Json::Int(b as i64))),
+            ("threads", self.threads.map(|t| Json::Int(t as i64))),
+            ("transfer", self.transfer.map(Json::Bool)),
+        ])
     }
+}
+
+/// A request object of the fields that are set.
+fn present<const N: usize>(fields: [(&'static str, Option<Json>); N]) -> Json {
+    Json::obj(fields.into_iter().filter_map(|(k, v)| Some((k, v?))))
 }
 
 /// Parses one request line.
@@ -164,6 +159,20 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .get("verb")
         .and_then(Json::as_str)
         .ok_or_else(|| "\"verb\" must be a string".to_string())?;
+    let opt_str = |k: &str| -> Result<Option<String>, String> {
+        match doc.get(k) {
+            None | Some(Json::Null) => Ok(None),
+            Some(Json::Str(s)) => Ok(Some(s.clone())),
+            Some(_) => Err(format!("\"{k}\" must be a string")),
+        }
+    };
+    let opt_pos = |k: &str| -> Result<Option<usize>, String> {
+        match doc.get(k) {
+            None | Some(Json::Null) => Ok(None),
+            Some(Json::Int(v)) if *v > 0 => Ok(Some(*v as usize)),
+            Some(_) => Err(format!("\"{k}\" must be a positive integer")),
+        }
+    };
     match verb {
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
@@ -173,25 +182,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .and_then(Json::as_str)
                 .ok_or_else(|| "tune requires a string \"workload\"".to_string())?
                 .to_string();
-            let opt_str = |k: &str| -> Result<Option<String>, String> {
-                match doc.get(k) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(Json::Str(s)) => Ok(Some(s.clone())),
-                    Some(_) => Err(format!("\"{k}\" must be a string")),
-                }
-            };
-            let budget = match doc.get("budget") {
-                None | Some(Json::Null) => None,
-                Some(Json::Int(v)) if *v > 0 => Some(*v as usize),
-                Some(_) => {
-                    return Err("\"budget\" must be a positive integer".to_string());
-                }
-            };
             Ok(Request::Tune(TuneSpec {
                 workload,
                 device: opt_str("device")?,
                 strategy: opt_str("strategy")?,
-                budget,
+                budget: opt_pos("budget")?,
                 space: opt_str("space")?,
             }))
         }
@@ -201,20 +196,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .and_then(Json::as_str)
                 .ok_or_else(|| "fleet requires a string \"grid\"".to_string())?
                 .to_string();
-            let opt_str = |k: &str| -> Result<Option<String>, String> {
-                match doc.get(k) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(Json::Str(s)) => Ok(Some(s.clone())),
-                    Some(_) => Err(format!("\"{k}\" must be a string")),
-                }
-            };
-            let opt_pos = |k: &str| -> Result<Option<usize>, String> {
-                match doc.get(k) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(Json::Int(v)) if *v > 0 => Ok(Some(*v as usize)),
-                    Some(_) => Err(format!("\"{k}\" must be a positive integer")),
-                }
-            };
             let transfer = match doc.get("transfer") {
                 None | Some(Json::Null) => None,
                 Some(Json::Bool(b)) => Some(*b),
@@ -245,7 +226,26 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// the accepted values.
 pub fn resolve(spec: &TuneSpec, default_device: &GpuConfig) -> Result<TuneRequest, String> {
     let kind = WorkloadKind::parse(&spec.workload)?;
-    let device = match &spec.device {
+    let (device, strategy, space) =
+        resolve_knobs(&spec.device, &spec.strategy, &spec.space, default_device)?;
+    Ok(TuneRequest {
+        kind,
+        device,
+        strategy: strategy.unwrap_or_default(),
+        budget: spec.budget.map(Budget).unwrap_or_default(),
+        space,
+    })
+}
+
+/// Looks up the device, strategy, and space names a `tune` and a
+/// `fleet` request share (an absent device is the daemon's default).
+fn resolve_knobs(
+    device: &Option<String>,
+    strategy: &Option<String>,
+    space: &Option<String>,
+    default_device: &GpuConfig,
+) -> Result<(GpuConfig, Option<Strategy>, Option<SpaceScale>), String> {
+    let device = match device {
         None => default_device.clone(),
         Some(name) => gpu_sim::lookup(name).ok_or_else(|| {
             format!(
@@ -254,25 +254,21 @@ pub fn resolve(spec: &TuneSpec, default_device: &GpuConfig) -> Result<TuneReques
             )
         })?,
     };
-    let strategy = match &spec.strategy {
-        None => Strategy::default(),
-        Some(name) => Strategy::parse(name)
-            .ok_or_else(|| format!("unknown strategy {name:?} (use exhaustive|anneal|genetic)"))?,
-    };
-    let space = match &spec.space {
+    let strategy =
+        match strategy {
+            None => None,
+            Some(name) => Some(Strategy::parse(name).ok_or_else(|| {
+                format!("unknown strategy {name:?} (use exhaustive|anneal|genetic)")
+            })?),
+        };
+    let space = match space {
         None => None,
         Some(name) => Some(
             SpaceScale::parse(name)
                 .ok_or_else(|| format!("unknown space {name:?} (use legacy|enlarged)"))?,
         ),
     };
-    Ok(TuneRequest {
-        kind,
-        device,
-        strategy,
-        budget: spec.budget.map(Budget).unwrap_or_default(),
-        space,
-    })
+    Ok((device, strategy, space))
 }
 
 /// A resolved fleet request: the expanded grid plus driver knobs.
@@ -292,37 +288,26 @@ pub struct ResolvedFleet {
 ///
 /// # Errors
 ///
-/// Malformed grid spec, unknown device, strategy, or space.
+/// Malformed grid spec, unknown device, strategy, or space, or more
+/// than [`MAX_FLEET_THREADS`] threads.
 pub fn resolve_fleet(
     wire: &FleetWire,
     default_device: &GpuConfig,
 ) -> Result<ResolvedFleet, String> {
     let spec = FleetSpec::parse(&wire.grid).map_err(|e| format!("bad grid: {e}"))?;
-    let device = match &wire.device {
-        None => default_device.clone(),
-        Some(name) => gpu_sim::lookup(name).ok_or_else(|| {
-            format!(
-                "unknown device {name:?} (use {})",
-                gpu_sim::DEVICE_TAGS.join("|")
-            )
-        })?,
-    };
-    let strategy = match &wire.strategy {
-        None => Strategy::Anneal,
-        Some(name) => Strategy::parse(name)
-            .ok_or_else(|| format!("unknown strategy {name:?} (use exhaustive|anneal|genetic)"))?,
-    };
-    let space = match &wire.space {
-        None => None,
-        Some(name) => Some(
-            SpaceScale::parse(name)
-                .ok_or_else(|| format!("unknown space {name:?} (use legacy|enlarged)"))?,
-        ),
-    };
+    let (device, strategy, space) =
+        resolve_knobs(&wire.device, &wire.strategy, &wire.space, default_device)?;
+    let strategy = strategy.unwrap_or(Strategy::Anneal);
+    let threads = wire.threads.unwrap_or(4);
+    if threads > MAX_FLEET_THREADS {
+        return Err(format!(
+            "\"threads\" must be at most {MAX_FLEET_THREADS}, got {threads}"
+        ));
+    }
     let budget = wire.budget.map(Budget).unwrap_or_default();
     Ok(ResolvedFleet {
         grid: spec.requests(&device, strategy, budget, space),
-        threads: wire.threads.unwrap_or(4),
+        threads,
         transfer: wire.transfer.unwrap_or(true),
     })
 }
@@ -426,6 +411,21 @@ mod tests {
         assert!(resolve_fleet(&bad_dev, &gpu_sim::a100())
             .unwrap_err()
             .contains("unknown device"));
+    }
+
+    #[test]
+    fn fleet_threads_above_the_bound_are_rejected() {
+        let line = "{\"verb\":\"fleet\",\"grid\":\"matmul:256\",\"threads\":1000000}";
+        let Ok(Request::Fleet(wire)) = parse_request(line) else {
+            panic!("{line:?} must parse");
+        };
+        let err = resolve_fleet(&wire, &gpu_sim::a100()).unwrap_err();
+        assert!(err.contains("\"threads\" must be at most"), "{err}");
+
+        let mut at_bound = wire;
+        at_bound.threads = Some(MAX_FLEET_THREADS);
+        let r = resolve_fleet(&at_bound, &gpu_sim::a100()).unwrap();
+        assert_eq!(r.threads, MAX_FLEET_THREADS);
     }
 
     #[test]

@@ -180,9 +180,10 @@ fn worker_loop(idx: usize, rx: &Mutex<mpsc::Receiver<TcpStream>>, service: &Tune
 }
 
 /// Serves one connection's line-delimited requests until EOF, error, or
-/// shutdown. A malformed line costs an error response, never the
-/// connection; a client that disconnects mid-search only loses its
-/// response — the search result is still promoted and persisted.
+/// shutdown. A malformed or overlong line costs an error response,
+/// never the connection; a client that disconnects mid-search only
+/// loses its response — the search result is still promoted and
+/// persisted.
 fn serve_connection(idx: usize, stream: TcpStream, service: &TuneService) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {
@@ -190,36 +191,61 @@ fn serve_connection(idx: usize, stream: TcpStream, service: &TuneService) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // Set once the line outgrows `MAX_LINE_BYTES`: the rest of it is
+    // read and dropped up to its newline.
+    let mut overlong = false;
     loop {
-        // `read_line` may deliver a partial line before the poll
-        // timeout fires; keep accumulating into the same buffer until
-        // the newline arrives.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,                          // EOF
-            Ok(_) if !line.ends_with('\n') => break, // EOF mid-line
-            Ok(_) => {
-                let (response, shutdown) = dispatch(idx, line.trim(), service);
-                line.clear();
-                if writer
-                    .write_all(protocol::render_line(&response).as_bytes())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break; // client went away; nothing to report to
-                }
-                if shutdown {
-                    service.begin_shutdown();
-                    break;
-                }
-            }
+        // A read may deliver part of a line before the poll timeout
+        // fires; keep accumulating until the newline arrives.
+        let buf = match reader.fill_buf() {
+            Ok([]) => break, // EOF, possibly mid-line
+            Ok(buf) => buf,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if service.is_shutdown() {
                     break;
                 }
+                continue;
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => break,
+        };
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let used = newline.map_or(buf.len(), |p| p + 1);
+        if overlong || line.len() + used > protocol::MAX_LINE_BYTES {
+            overlong = true;
+            line.clear();
+        } else {
+            line.extend_from_slice(&buf[..used]);
+        }
+        reader.consume(used);
+        if newline.is_none() {
+            continue;
+        }
+        let (response, shutdown) = if std::mem::take(&mut overlong) {
+            service.metrics().record_rejected();
+            let msg = format!("request line exceeds {} bytes", protocol::MAX_LINE_BYTES);
+            (protocol::error_response(&msg), false)
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) => dispatch(idx, text.trim(), service),
+                Err(_) => {
+                    service.metrics().record_rejected();
+                    (protocol::error_response("request line is not UTF-8"), false)
+                }
+            }
+        };
+        line.clear();
+        if writer
+            .write_all(protocol::render_line(&response).as_bytes())
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
+            break; // client went away; nothing to report to
+        }
+        if shutdown {
+            service.begin_shutdown();
+            break;
         }
     }
 }
@@ -297,18 +323,8 @@ fn dispatch(idx: usize, line: &str, service: &TuneService) -> (Json, bool) {
                 service
                     .metrics()
                     .record_tune(&req.class(), tier, result.is_ok(), elapsed_ms);
-                // The arena and annotation caches are per worker
-                // thread; publish this worker's counters so the metrics
-                // report can aggregate them.
-                service
-                    .metrics()
-                    .record_arena(idx, lego_expr::intern::stats());
-                service
-                    .metrics()
-                    .record_sidecar(idx, lego_tune::annotate_sidecar_stats());
-                service
-                    .metrics()
-                    .record_traffic(idx, gpu_sim::traffic_memo_stats());
+                // Memo counters are per thread: publish this worker's.
+                service.metrics().record_worker(idx);
                 match result {
                     Ok(served) => (served.to_json(), false),
                     Err(e) => (protocol::error_response(&e), false),

@@ -31,12 +31,14 @@ use gpu_sim::GpuConfig;
 use lego_expr::Variant;
 use lego_tune::cache::{config_to_json, estimate_to_json};
 use lego_tune::fleet::FleetReport;
-use lego_tune::strategy::Strategy;
-use lego_tune::{CachedTuning, FleetDriver, Json, TuneRequest, TunedConfig, TuningCache};
+use lego_tune::{
+    CachedTuning, FleetDriver, Json, SidecarSession, TuneRequest, TunedConfig, TuningCache,
+};
 
 use crate::metrics::Metrics;
 
-/// Which tier answered a request.
+/// Which tier answered a request. The metrics index their per-tier
+/// counters by `tier as usize`, in serving order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Tier {
     /// In-memory map of completed results.
@@ -162,15 +164,11 @@ impl Slot {
 pub struct TuneService {
     default_device: GpuConfig,
     cache: Option<TuningCache>,
-    /// Persistent memo-sidecar path (`None` = no persistence). The
-    /// document is parsed once at startup; every worker installs it
-    /// into its thread-local memo tables before serving
-    /// ([`TuneService::warm_worker`]) and contributes its derived
-    /// results back on drain ([`TuneService::harvest_worker`]), so the
-    /// shutdown flush writes one merged document.
-    sidecar_path: Option<PathBuf>,
-    sidecar_in: Option<lego_tune::Sidecar>,
-    sidecar_out: Mutex<lego_tune::Sidecar>,
+    /// Persistent memo sidecar (`None` = no persistence): every worker
+    /// installs it before serving ([`TuneService::warm_worker`]) and
+    /// harvests into it on drain ([`TuneService::harvest_worker`]), so
+    /// the shutdown flush writes one merged document.
+    sidecar: Option<SidecarSession>,
     memory: Mutex<HashMap<String, CachedTuning>>,
     inflight: Mutex<HashMap<String, Arc<Slot>>>,
     metrics: Metrics,
@@ -195,16 +193,10 @@ impl TuneService {
             .as_ref()
             .map(|c| c.entries().into_iter().collect())
             .unwrap_or_default();
-        let sidecar_in = sidecar_path
-            .as_deref()
-            .map(lego_tune::Sidecar::load)
-            .filter(|sc| !sc.is_empty());
         TuneService {
             default_device,
             cache,
-            sidecar_path,
-            sidecar_in,
-            sidecar_out: Mutex::new(lego_tune::Sidecar::new()),
+            sidecar: sidecar_path.map(SidecarSession::open),
             memory: Mutex::new(memory),
             inflight: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
@@ -217,28 +209,19 @@ impl TuneService {
     /// memo tables and publishes the resulting warm counters. Workers
     /// call this once, before taking connections.
     pub fn warm_worker(&self, idx: usize) {
-        if let Some(sc) = &self.sidecar_in {
-            lego_tune::sidecar::install(sc);
+        if let Some(sc) = &self.sidecar {
+            sc.install();
         }
-        self.metrics.record_arena(idx, lego_expr::intern::stats());
-        self.metrics
-            .record_sidecar(idx, lego_tune::annotate_sidecar_stats());
-        self.metrics
-            .record_traffic(idx, gpu_sim::traffic_memo_stats());
+        self.metrics.record_worker(idx);
     }
 
     /// Merges the calling worker thread's derived results into the
     /// shared outgoing sidecar. Workers call this once, on drain; the
     /// shutdown [`TuneService::flush`] persists the merged document.
     pub fn harvest_worker(&self) {
-        if self.sidecar_path.is_none() {
-            return;
+        if let Some(sc) = &self.sidecar {
+            sc.harvest();
         }
-        let derived = lego_tune::sidecar::collect();
-        self.sidecar_out
-            .lock()
-            .expect("sidecar poisoned")
-            .merge(&derived);
     }
 
     /// The device used when a request names none.
@@ -286,9 +269,8 @@ impl TuneService {
     pub fn flush(&self) -> std::io::Result<()> {
         // The merged per-worker sidecar first: one atomic write
         // alongside the cache.
-        if let Some(path) = &self.sidecar_path {
-            let merged = self.sidecar_out.lock().expect("sidecar poisoned").clone();
-            merged.save(path)?;
+        if let Some(sc) = &self.sidecar {
+            sc.save()?;
         }
         let Some(cache) = &self.cache else {
             return Ok(());
@@ -354,19 +336,19 @@ impl TuneService {
         (result, tier)
     }
 
-    /// Tunes a whole grid through the work-stealing
-    /// [`FleetDriver`] — sharing the daemon's persistent cache, so
-    /// already-served keys are instant hits and fresh results come back
-    /// in one merged write. Completed keys are promoted into the memory
-    /// tier (subsequent `tune` requests hit tier 1), and the run's
-    /// per-class counters land in the `metrics` report.
+    /// Tunes a whole grid through the [`FleetDriver`] — sharing the
+    /// daemon's persistent cache, so already-served keys are instant
+    /// hits and fresh results come back in one merged write. Completed
+    /// keys are promoted into the memory tier (subsequent `tune`
+    /// requests hit tier 1), and the run's per-class counters land in
+    /// the `metrics` report.
     pub fn fleet(&self, grid: &[TuneRequest], threads: usize, transfer: bool) -> FleetReport {
         let mut driver = FleetDriver::new(threads).with_transfer(transfer);
         if let Some(cache) = &self.cache {
             driver = driver.with_cache(cache.path());
         }
-        if let Some(path) = &self.sidecar_path {
-            driver = driver.with_sidecar(path);
+        if let Some(sc) = &self.sidecar {
+            driver = driver.with_sidecar(sc.path());
         }
         let report = driver.run(grid);
 
@@ -402,30 +384,13 @@ impl TuneService {
             tuner = tuner.with_cache(cache.path());
         }
         let kind = req.kind;
-        let outcome = catch_unwind(AssertUnwindSafe(|| tuner.tune(&kind)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| tuner.tune_entry(&kind)));
         match outcome {
-            Ok(Ok(r)) => {
-                let tier = if r.from_cache {
+            Ok(Ok((entry, from_cache))) => {
+                let tier = if from_cache {
                     Tier::Cache
                 } else {
                     Tier::Searched
-                };
-                let entry = CachedTuning {
-                    config: r.config,
-                    expr_variant: r.expr_variant,
-                    index_ops: r.index_ops,
-                    naive: r.naive,
-                    tuned: r.tuned,
-                    evaluated: r.evaluated,
-                    strategy: req.strategy.name().to_string(),
-                    budget: match req.strategy {
-                        Strategy::Exhaustive => None,
-                        Strategy::Anneal | Strategy::Genetic => Some(req.budget.max_evals()),
-                    },
-                    space: req.effective_space().name().to_string(),
-                    // The serving tier never warm-starts searches; the
-                    // persistent cache keeps the real frontier.
-                    frontier: vec![],
                 };
                 let served = served_from(req, &entry);
                 self.memory

@@ -120,6 +120,37 @@ fn malformed_lines_error_without_dropping_the_connection() {
     let _ = std::fs::remove_file(&cache);
 }
 
+#[test]
+fn overlong_line_is_rejected_and_the_connection_keeps_serving() {
+    let (server, cache) = start("overlong", 2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // A well-formed request padded past the limit must still be
+    // refused: the daemon never buffers more than the limit.
+    let padding = "x".repeat(protocol::MAX_LINE_BYTES);
+    let long = format!("{{\"verb\":\"metrics\",\"pad\":\"{padding}\"}}");
+    let line = client
+        .roundtrip_line(&long)
+        .expect("connection must survive an overlong line");
+    let response = Json::parse(&line).expect("error responses are JSON");
+    assert!(!is_ok(&response), "an overlong line must be rejected");
+    assert!(
+        response
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("exceeds")),
+        "{line}"
+    );
+
+    // The same connection serves the next line.
+    let metrics = client.metrics().expect("metrics after an overlong line");
+    assert!(is_ok(&metrics), "{}", metrics.render());
+    assert_eq!(service_errors(&server), 1);
+
+    shutdown_and_join(server);
+    let _ = std::fs::remove_file(&cache);
+}
+
 fn service_errors(server: &Server) -> i64 {
     server
         .service()
@@ -297,6 +328,43 @@ fn fleet_promotes_the_same_answer_with_and_without_a_cache() {
     let without_cache = answer(None);
     assert!(with_cache.contains("\"expr_variant\":\""), "{with_cache}");
     assert_eq!(without_cache, with_cache);
+}
+
+/// A key another process wrote to the shared cache file after startup
+/// is answered from the cache tier with the producing search's
+/// evaluation count — the same bytes a restarted service serves from
+/// memory.
+#[test]
+fn cache_tier_answer_matches_the_restarted_memory_answer() {
+    let cache = temp_cache("cache_tier");
+    let mut spec = TuneSpec::workload("transpose(n=512)");
+    spec.strategy = Some("anneal".into());
+    spec.budget = Some(32);
+    let service = TuneService::new(gpu_sim::a100(), Some(cache.clone()), None);
+    let req = protocol::resolve(&spec, service.default_device()).expect("spec");
+
+    let written = req
+        .tuner()
+        .with_cache(cache.clone())
+        .tune(&req.kind)
+        .expect("another process tunes the key");
+    assert!(written.evaluated > 0);
+    let (served, tier) = service.resolve(&req);
+    assert_eq!(tier, Tier::Cache);
+    let from_cache = render_line(&served.expect("cache-tier answer").to_json());
+    assert!(
+        from_cache.contains(&format!("\"evaluated\":{},", written.evaluated)),
+        "{from_cache}"
+    );
+
+    let restarted = TuneService::new(gpu_sim::a100(), Some(cache.clone()), None);
+    let (served, tier) = restarted.resolve(&req);
+    assert_eq!(tier, Tier::Memory);
+    assert_eq!(
+        render_line(&served.expect("memory-tier answer").to_json()),
+        from_cache
+    );
+    let _ = std::fs::remove_file(&cache);
 }
 
 #[test]

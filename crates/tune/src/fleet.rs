@@ -1,5 +1,6 @@
-//! Fleet-scale tuning: a work-stealing driver that tunes a whole grid
-//! of `(workload, size, device)` keys with cross-key frontier transfer.
+//! Fleet-scale tuning: a driver that tunes a whole grid of
+//! `(workload, size, device)` keys on a thread pool with cross-key
+//! frontier transfer.
 //!
 //! Pre-tuning a model zoo is embarrassingly parallel *and* highly
 //! self-similar: `matmul(n=4096)` on an A100 is one unit-lattice hop
@@ -8,12 +9,12 @@
 //! both:
 //!
 //! * **Parallelism** — a fixed pool of worker threads pulls keys from
-//!   per-worker deques and steals from siblings when idle. Each worker
-//!   keeps its thread-local expression arena warm across every key it
-//!   tunes (the same per-thread-arena economics `lego-served` relies
-//!   on), and all results land in a sharded in-memory map with a
-//!   *single* merged [`TuningCache::store_many`] write at the end —
-//!   one document rewrite instead of one per key.
+//!   one shared FIFO ready queue. Each worker keeps its thread-local
+//!   expression arena warm across every key it tunes (the same
+//!   per-thread-arena economics `lego-served` relies on), and all
+//!   results land in one in-memory map with a *single* merged
+//!   [`TuningCache::store_many`] write at the end — one document
+//!   rewrite instead of one per key.
 //! * **Transfer** — before a key falls back to a cold search, it seeds
 //!   from the frontier of the *nearest already-tuned key* in its
 //!   `(family, device)` class under [`crate::cache::key_distance`]
@@ -45,7 +46,7 @@ use crate::cache::{config_to_json, nearest_neighbor, CachedTuning, TuningCache};
 use crate::domain::{Domain, SpaceScale};
 use crate::json::Json;
 use crate::request::TuneRequest;
-use crate::rng::fnv1a;
+use crate::sidecar::SidecarSession;
 use crate::space::WorkloadKind;
 use crate::strategy::{Budget, Strategy};
 
@@ -59,10 +60,6 @@ pub const TRANSFER_BUDGET_DIVISOR: usize = 4;
 /// room to evaluate the seeds plus a polish neighborhood. Never raises
 /// a budget above the cold one.
 pub const TRANSFER_MIN_EVALS: usize = 32;
-
-/// Shard count of the in-memory result map (bounds lock contention
-/// between workers completing keys concurrently).
-const SHARDS: usize = 16;
 
 /// Row count of the rowwise workloads a [`FleetSpec`] expands to (the
 /// tuned knob is the column block size; `m` only scales the trace).
@@ -428,54 +425,36 @@ impl FleetKeyReport {
     /// One bench/wire row for this key.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
-            ("workload".to_string(), Json::Str(self.request.kind.name())),
+            ("workload", Json::Str(self.request.kind.name())),
+            ("device", Json::Str(self.request.device.tag.to_string())),
+            ("class", Json::Str(self.class())),
             (
-                "device".to_string(),
-                Json::Str(self.request.device.tag.to_string()),
+                "transferred_from",
+                self.transferred_from.clone().map_or(Json::Null, Json::Str),
             ),
-            ("class".to_string(), Json::Str(self.class())),
-            (
-                "transferred_from".to_string(),
-                match &self.transferred_from {
-                    None => Json::Null,
-                    Some(src) => Json::Str(src.clone()),
-                },
-            ),
-            ("seeds".to_string(), Json::Int(self.seeds as i64)),
-            ("worker".to_string(), Json::Int(self.worker as i64)),
-            ("elapsed_s".to_string(), Json::num(self.elapsed_s)),
+            ("seeds", Json::Int(self.seeds as i64)),
+            ("worker", Json::Int(self.worker as i64)),
+            ("elapsed_s", Json::num(self.elapsed_s)),
         ];
         match &self.result {
-            Ok(t) => {
-                pairs.push(("ok".to_string(), Json::Bool(true)));
-                pairs.push(("config".to_string(), config_to_json(&t.config)));
-                pairs.push(("naive_s".to_string(), Json::num(t.naive.time_s)));
-                pairs.push(("tuned_s".to_string(), Json::num(t.tuned.time_s)));
-                pairs.push((
-                    "speedup".to_string(),
-                    Json::num(t.naive.time_s / t.tuned.time_s),
-                ));
-                pairs.push(("evaluated".to_string(), Json::Int(t.evaluated as i64)));
-                pairs.push((
-                    "evals_to_winner".to_string(),
-                    Json::Int(t.evals_to_winner as i64),
-                ));
-                pairs.push((
-                    "budget".to_string(),
-                    match t.budget {
-                        None => Json::Null,
-                        Some(b) => Json::Int(b as i64),
-                    },
-                ));
-                pairs.push(("evals_saved".to_string(), Json::Int(t.evals_saved as i64)));
-                pairs.push(("from_cache".to_string(), Json::Bool(t.from_cache)));
-            }
-            Err(e) => {
-                pairs.push(("ok".to_string(), Json::Bool(false)));
-                pairs.push(("error".to_string(), Json::Str(e.clone())));
-            }
+            Ok(t) => pairs.extend([
+                ("ok", Json::Bool(true)),
+                ("config", config_to_json(&t.config)),
+                ("naive_s", Json::num(t.naive.time_s)),
+                ("tuned_s", Json::num(t.tuned.time_s)),
+                ("speedup", Json::num(t.naive.time_s / t.tuned.time_s)),
+                ("evaluated", Json::Int(t.evaluated as i64)),
+                ("evals_to_winner", Json::Int(t.evals_to_winner as i64)),
+                (
+                    "budget",
+                    t.budget.map_or(Json::Null, |b| Json::Int(b as i64)),
+                ),
+                ("evals_saved", Json::Int(t.evals_saved as i64)),
+                ("from_cache", Json::Bool(t.from_cache)),
+            ]),
+            Err(e) => pairs.extend([("ok", Json::Bool(false)), ("error", Json::Str(e.clone()))]),
         }
-        Json::Obj(pairs)
+        Json::obj(pairs)
     }
 }
 
@@ -565,8 +544,6 @@ pub struct FleetReport {
     pub threads: usize,
     /// Whether transfer was enabled.
     pub transfer: bool,
-    /// Keys a worker stole from a sibling's deque.
-    pub steals: u64,
     /// End-to-end wall-clock seconds.
     pub elapsed_s: f64,
 }
@@ -612,7 +589,6 @@ impl FleetReport {
             ("evals_saved", Json::Int(c.evals_saved as i64)),
             ("mean_evals_to_winner", Json::num(c.mean_evals_to_winner())),
             ("errors", Json::Int(c.errors as i64)),
-            ("steals", Json::Int(self.steals as i64)),
         ])
     }
 }
@@ -621,7 +597,7 @@ impl FleetReport {
 // The driver
 // ---------------------------------------------------------------------
 
-/// The work-stealing fleet driver. See the module docs for semantics.
+/// The fleet driver. See the module docs for semantics.
 #[derive(Clone, Debug)]
 pub struct FleetDriver {
     threads: usize,
@@ -695,88 +671,56 @@ impl FleetDriver {
                     .map(|k| first_at[k])
             })
             .collect();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, dep) in deps.iter().enumerate() {
-            if let Some(j) = *dep {
-                children[j].push(i);
-            }
-        }
 
-        // Sharded result map, preloaded from the persistent cache.
-        let shards: Vec<Mutex<HashMap<String, CachedTuning>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-        let shard_of = |key: &str| &shards[(fnv1a(key) % SHARDS as u64) as usize];
-        if let Some(cache) = &self.cache {
-            for (k, v) in cache.entries() {
-                shard_of(&k).lock().expect("shard poisoned").insert(k, v);
-            }
-        }
-
-        let threads = self.threads.min(n.max(1));
-        let sched = Sched::new(threads, n);
-        for (w, i) in (0..n).filter(|i| deps[*i].is_none()).enumerate() {
-            sched.seed(w % threads, i);
-        }
-
+        // The result map, preloaded from the persistent cache.
+        let entries: Mutex<HashMap<String, CachedTuning>> = Mutex::new(
+            self.cache
+                .as_ref()
+                .map(|c| c.entries().into_iter().collect())
+                .unwrap_or_default(),
+        );
         let results: Mutex<Vec<Option<FleetKeyReport>>> = Mutex::new(vec![None; n]);
-
-        // The persistent memo sidecar is parsed once here; each worker
-        // installs it into its own thread-local memo tables before
-        // taking work, and contributes its derived results to one
-        // merged document persisted in a single atomic write below.
-        let sidecar_in = self
-            .sidecar
-            .as_deref()
-            .map(crate::sidecar::Sidecar::load)
-            .filter(|sc| !sc.is_empty());
-        let sidecar_out: Option<Mutex<crate::sidecar::Sidecar>> = self
-            .sidecar
-            .is_some()
-            .then(|| Mutex::new(crate::sidecar::Sidecar::new()));
+        let ready = ReadyQueue::new(&deps);
+        let threads = self.threads.min(n.max(1));
+        let sidecar = self.sidecar.as_deref().map(SidecarSession::open);
 
         std::thread::scope(|scope| {
             for w in 0..threads {
-                let sched = &sched;
-                let results = &results;
-                let shards = &shards;
-                let grid_ref = grid;
-                let keys = &keys;
-                let deps = &deps;
-                let children = &children;
-                let sidecar_in = sidecar_in.as_ref();
-                let sidecar_out = sidecar_out.as_ref();
+                let (ready, entries, results) = (&ready, &entries, &results);
+                let (keys, deps, sidecar) = (&keys, &deps, sidecar.as_ref());
                 scope.spawn(move || {
-                    if let Some(sc) = sidecar_in {
-                        crate::sidecar::install(sc);
+                    if let Some(sc) = sidecar {
+                        sc.install();
                     }
-                    while let Some(i) = sched.next(w) {
-                        let report = run_key(grid_ref, keys, deps, shards, i, w);
+                    let lookup =
+                        |k: &str| entries.lock().expect("entries poisoned").get(k).cloned();
+                    while let Some(i) = ready.next() {
+                        let own = lookup(&keys[i]);
+                        let source = deps[i]
+                            .filter(|&j| keys[j] != keys[i])
+                            .and_then(|j| Some((&grid[j], lookup(&keys[j])?)));
+                        let report = run_key(&grid[i], &keys[i], own, source, w);
                         if let Some(entry) = &report.entry {
-                            let shard = &shards[(fnv1a(&keys[i]) % SHARDS as u64) as usize];
-                            shard
+                            entries
                                 .lock()
-                                .expect("shard poisoned")
+                                .expect("entries poisoned")
                                 .insert(keys[i].clone(), entry.clone());
                         }
                         results.lock().expect("results poisoned")[i] = Some(report);
                         // Dependents become runnable only now, with the
-                        // entry already visible in the shard.
-                        sched.complete(w, &children[i]);
+                        // entry already in the map.
+                        ready.complete(i);
                     }
-                    if let Some(out) = sidecar_out {
-                        let derived = crate::sidecar::collect();
-                        out.lock().expect("sidecar poisoned").merge(&derived);
+                    if let Some(sc) = sidecar {
+                        sc.harvest();
                     }
                 });
             }
         });
 
-        if let (Some(path), Some(out)) = (&self.sidecar, sidecar_out) {
-            let merged = out.into_inner().expect("sidecar poisoned");
-            if let Err(e) = merged.save(path) {
-                // Same best-effort stance as the cache write below.
-                eprintln!("fleet: sidecar write failed: {e}");
-            }
+        if let Some(Err(e)) = sidecar.as_ref().map(SidecarSession::save) {
+            // Same best-effort stance as the cache write below.
+            eprintln!("fleet: sidecar write failed: {e}");
         }
 
         let mut reports: Vec<FleetKeyReport> = results
@@ -808,59 +752,48 @@ impl FleetDriver {
             keys: reports,
             threads,
             transfer: self.transfer,
-            steals: sched.steals(),
             elapsed_s: t0.elapsed().as_secs_f64(),
         }
     }
 }
 
-/// Tunes grid key `i` on worker `w`. A fresh search's report carries
-/// the cache entry to publish (the caller inserts it into the shard
-/// *before* marking the key complete).
+/// Tunes one grid key on worker `w`, given the key's own map entry and
+/// its transfer source's request and entry. A fresh search's report
+/// carries the cache entry to publish (the caller inserts it into the
+/// map *before* marking the key complete).
 fn run_key(
-    grid: &[TuneRequest],
-    keys: &[String],
-    deps: &[Option<usize>],
-    shards: &[Mutex<HashMap<String, CachedTuning>>],
-    i: usize,
+    req: &TuneRequest,
+    key: &str,
+    own: Option<CachedTuning>,
+    source: Option<(&TuneRequest, CachedTuning)>,
     w: usize,
 ) -> FleetKeyReport {
     let t0 = Instant::now();
-    let req = &grid[i];
-    let key = &keys[i];
-    let lookup = |k: &str| -> Option<CachedTuning> {
-        shards[(fnv1a(k) % SHARDS as u64) as usize]
-            .lock()
-            .expect("shard poisoned")
-            .get(k)
-            .cloned()
+    let report = |result, transferred_from, seeds, entry| FleetKeyReport {
+        request: req.clone(),
+        cache_key: key.to_string(),
+        result,
+        transferred_from,
+        seeds,
+        worker: w,
+        elapsed_s: t0.elapsed().as_secs_f64(),
+        entry,
     };
 
     // Instant hit: a preloaded or earlier-completed entry satisfies the
     // request as-is (same rule the sequential tuner and daemon apply).
-    let own = lookup(key);
-    if let Some(hit) = &own {
-        if req.satisfied_by(hit) {
-            return FleetKeyReport {
-                request: req.clone(),
-                cache_key: key.clone(),
-                result: Ok(FleetTuned {
-                    config: hit.config,
-                    naive: hit.naive,
-                    tuned: hit.tuned,
-                    evaluated: 0,
-                    evals_to_winner: 0,
-                    budget: None,
-                    evals_saved: 0,
-                    from_cache: true,
-                }),
-                transferred_from: None,
-                seeds: 0,
-                worker: w,
-                elapsed_s: t0.elapsed().as_secs_f64(),
-                entry: None,
-            };
-        }
+    if let Some(hit) = own.as_ref().filter(|hit| req.satisfied_by(hit)) {
+        let tuned = FleetTuned {
+            config: hit.config,
+            naive: hit.naive,
+            tuned: hit.tuned,
+            evaluated: 0,
+            evals_to_winner: 0,
+            budget: None,
+            evals_saved: 0,
+            from_cache: true,
+        };
+        return report(Ok(tuned), None, 0, None);
     }
 
     // Seeds: the key's own stale frontier first (a differently-searched
@@ -871,21 +804,16 @@ fn run_key(
         .flat_map(|h| h.frontier.iter().map(|(c, _)| *c))
         .collect();
     let mut transferred_from = None;
-    if let Some(j) = deps[i] {
-        if keys[j] != *key {
-            if let Some(src) = lookup(&keys[j]) {
-                let survivors: Vec<TunedConfig> = src
-                    .frontier
-                    .iter()
-                    .map(|(c, _)| *c)
-                    .filter(|c| domain.contains(c))
-                    .collect();
-                if !survivors.is_empty() {
-                    transferred_from =
-                        Some(format!("{}@{}", grid[j].kind.name(), grid[j].device.tag));
-                    seeds.extend(survivors);
-                }
-            }
+    if let Some((src_req, src)) = source {
+        let survivors: Vec<TunedConfig> = src
+            .frontier
+            .iter()
+            .map(|(c, _)| *c)
+            .filter(|c| domain.contains(c))
+            .collect();
+        if !survivors.is_empty() {
+            transferred_from = Some(format!("{}@{}", src_req.kind.name(), src_req.device.tag));
+            seeds.extend(survivors);
         }
     }
 
@@ -935,97 +863,73 @@ fn run_key(
         }
         Err(e) => (Err(e.to_string()), None),
     };
-    FleetKeyReport {
-        request: req.clone(),
-        cache_key: key.clone(),
-        result,
-        transferred_from,
-        seeds: seed_count,
-        worker: w,
-        elapsed_s: t0.elapsed().as_secs_f64(),
-        entry,
-    }
+    report(result, transferred_from, seed_count, entry)
 }
 
 // ---------------------------------------------------------------------
 // The scheduler
 // ---------------------------------------------------------------------
 
-/// Work-stealing scheduler state: per-worker deques of runnable keys.
-/// Owners pop from the front of their own deque; idle workers steal
-/// from the *back* of a sibling's (classic deque discipline — stolen
-/// work is the coldest). Keys enter a deque only when their transfer
-/// dependency has completed, so a runnable key's seeds are always
-/// visible.
-struct Sched {
-    inner: Mutex<SchedInner>,
+/// The shared FIFO of runnable keys. Roots (keys without a transfer
+/// source) enter in grid order; a key enters only once its source has
+/// completed, appended behind whatever is already waiting, so a
+/// runnable key's seeds are always in the result map.
+struct ReadyQueue {
+    /// `dependents[j]`: the keys whose transfer source is `j`.
+    dependents: Vec<Vec<usize>>,
+    state: Mutex<ReadyState>,
     wake: Condvar,
 }
 
-struct SchedInner {
-    queues: Vec<VecDeque<usize>>,
-    /// Keys not yet completed (runnable, running, or still blocked on a
-    /// dependency). Workers exit when it reaches zero.
+struct ReadyState {
+    queue: VecDeque<usize>,
+    /// Keys not yet completed (runnable, running, or still waiting on
+    /// their source). Workers exit when it reaches zero.
     remaining: usize,
-    steals: u64,
 }
 
-impl Sched {
-    fn new(threads: usize, total: usize) -> Sched {
-        Sched {
-            inner: Mutex::new(SchedInner {
-                queues: vec![VecDeque::new(); threads],
-                remaining: total,
-                steals: 0,
+impl ReadyQueue {
+    fn new(deps: &[Option<usize>]) -> ReadyQueue {
+        let mut dependents = vec![Vec::new(); deps.len()];
+        let mut queue = VecDeque::new();
+        for (i, dep) in deps.iter().enumerate() {
+            match *dep {
+                Some(j) => dependents[j].push(i),
+                None => queue.push_back(i),
+            }
+        }
+        ReadyQueue {
+            dependents,
+            state: Mutex::new(ReadyState {
+                queue,
+                remaining: deps.len(),
             }),
             wake: Condvar::new(),
         }
     }
 
-    /// Enqueues an initially-runnable key on worker `w`'s deque.
-    fn seed(&self, w: usize, i: usize) {
-        self.inner.lock().expect("scheduler poisoned").queues[w].push_back(i);
-    }
-
-    /// The next key for worker `w`: own deque first, then steal, else
-    /// block until a completion frees more work. `None` once every key
-    /// has completed.
-    fn next(&self, w: usize) -> Option<usize> {
-        let mut inner = self.inner.lock().expect("scheduler poisoned");
+    /// The next runnable key, blocking while every remaining key waits
+    /// on one still running. `None` once every key has completed.
+    fn next(&self) -> Option<usize> {
+        let mut state = self.state.lock().expect("ready queue poisoned");
         loop {
-            if inner.remaining == 0 {
+            if state.remaining == 0 {
                 return None;
             }
-            if let Some(i) = inner.queues[w].pop_front() {
+            if let Some(i) = state.queue.pop_front() {
                 return Some(i);
             }
-            let workers = inner.queues.len();
-            if let Some(i) = (1..workers)
-                .map(|off| (w + off) % workers)
-                .find_map(|v| inner.queues[v].pop_back())
-            {
-                inner.steals += 1;
-                return Some(i);
-            }
-            inner = self.wake.wait(inner).expect("scheduler poisoned");
+            state = self.wake.wait(state).expect("ready queue poisoned");
         }
     }
 
-    /// Marks a key complete and makes its dependents runnable on the
-    /// completing worker's deque (they share warm state: the worker's
-    /// arena already holds the family's expressions).
-    fn complete(&self, w: usize, dependents: &[usize]) {
-        let mut inner = self.inner.lock().expect("scheduler poisoned");
-        inner.remaining -= 1;
-        for &d in dependents {
-            inner.queues[w].push_back(d);
-        }
-        drop(inner);
+    /// Marks key `i` complete and appends its dependents to the queue.
+    fn complete(&self, i: usize) {
+        let mut state = self.state.lock().expect("ready queue poisoned");
+        state.remaining -= 1;
+        state.queue.extend(&self.dependents[i]);
+        drop(state);
         self.wake.notify_all();
-    }
-
-    fn steals(&self) -> u64 {
-        self.inner.lock().expect("scheduler poisoned").steals
     }
 }
 
@@ -1105,6 +1009,53 @@ mod tests {
             "matmul:9q",
         ] {
             assert!(FleetSpec::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    /// A synthetic forest: six roots (more than any thread count
+    /// below), a chain 0 → 6 → 7 → 8 → 9, and a fan-out 1 → 10..=15.
+    #[test]
+    fn ready_queue_hands_out_each_key_once_after_its_source() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let mut deps: Vec<Option<usize>> = vec![None; 6];
+        deps.extend([Some(0), Some(6), Some(7), Some(8)]);
+        deps.extend([Some(1); 6]);
+        for threads in 1..=4 {
+            let queue = ReadyQueue::new(&deps);
+            let done: Vec<AtomicBool> = deps.iter().map(|_| AtomicBool::new(false)).collect();
+            let handed = Mutex::new(Vec::new());
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        while let Some(i) = queue.next() {
+                            if let Some(j) = deps[i] {
+                                assert!(
+                                    done[j].load(Ordering::SeqCst),
+                                    "key {i} handed out before its source {j} completed"
+                                );
+                            }
+                            handed.lock().unwrap().push(i);
+                            done[i].store(true, Ordering::SeqCst);
+                            queue.complete(i);
+                        }
+                    });
+                }
+            });
+            let mut handed = handed.into_inner().unwrap();
+            if threads == 1 {
+                // FIFO: roots in grid order, then dependents in the
+                // order their sources completed.
+                assert_eq!(
+                    handed,
+                    [0, 1, 2, 3, 4, 5, 6, 10, 11, 12, 13, 14, 15, 7, 8, 9]
+                );
+            }
+            handed.sort_unstable();
+            assert_eq!(
+                handed,
+                (0..deps.len()).collect::<Vec<_>>(),
+                "{threads} threads must hand out every key exactly once"
+            );
         }
     }
 

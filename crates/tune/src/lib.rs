@@ -68,7 +68,7 @@ pub use lego_codegen::tuning::{
     NwLayoutChoice, RowwiseOp, ScheduleChoice, StagingChoice, StencilLayoutChoice, TunedConfig,
 };
 pub use request::TuneRequest;
-pub use sidecar::{Sidecar, SidecarWarm};
+pub use sidecar::{Sidecar, SidecarSession, SidecarWarm};
 pub use space::{
     annotate_cache_stats, annotate_sidecar_stats, build_layout, build_workload,
     rowwise_block_sizes, stencil_block, symbolic_exprs, Candidate, SearchSpace, WorkloadKind,

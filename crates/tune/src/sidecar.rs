@@ -16,7 +16,8 @@
 //! so they go stale together).
 
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 pub use lego_expr::sidecar::{InstallReport, Sidecar};
 
@@ -79,6 +80,70 @@ pub fn collect() -> Sidecar {
 /// Propagates filesystem errors.
 pub fn collect_and_save(path: &Path) -> io::Result<()> {
     collect().save(path)
+}
+
+/// One sidecar shared by a pool of worker threads: the document is
+/// loaded once, each worker installs it before taking work
+/// ([`SidecarSession::install`]) and merges its derived results back as
+/// it exits ([`SidecarSession::harvest`]), and the merge is written in
+/// one atomic save ([`SidecarSession::save`]). The tuning daemon's
+/// workers and the fleet driver's both run this lifecycle.
+#[derive(Debug)]
+pub struct SidecarSession {
+    path: PathBuf,
+    /// The startup document (`None` when missing, stale, or corrupt).
+    loaded: Option<Sidecar>,
+    /// The workers' derived results, merged as they exit.
+    merged: Mutex<Sidecar>,
+}
+
+impl SidecarSession {
+    /// Loads the sidecar at `path` (a missing, stale, or corrupt file
+    /// starts the session cold).
+    pub fn open(path: impl Into<PathBuf>) -> SidecarSession {
+        let path = path.into();
+        let loaded = Some(Sidecar::load(&path)).filter(|sc| !sc.is_empty());
+        SidecarSession {
+            path,
+            loaded,
+            merged: Mutex::new(Sidecar::new()),
+        }
+    }
+
+    /// Where the session loads from and saves to.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Installs the startup document into the calling thread's memo
+    /// tables. Each worker calls this once, before taking work.
+    pub fn install(&self) {
+        if let Some(sc) = &self.loaded {
+            install(sc);
+        }
+    }
+
+    /// [`collect`]s the calling thread's derived results into the
+    /// session's merged document. Each worker calls this once, on exit.
+    pub fn harvest(&self) {
+        let derived = collect();
+        self.merged
+            .lock()
+            .expect("sidecar poisoned")
+            .merge(&derived);
+    }
+
+    /// Merges everything harvested so far into the file, atomically.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn save(&self) -> io::Result<()> {
+        self.merged
+            .lock()
+            .expect("sidecar poisoned")
+            .save(&self.path)
+    }
 }
 
 #[cfg(test)]

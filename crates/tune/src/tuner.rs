@@ -202,22 +202,34 @@ impl Tuner {
     ///
     /// Propagates layout construction and cache write failures.
     pub fn tune(&self, kind: &WorkloadKind) -> Result<TuneResult, TuneError> {
-        let workload = kind.name();
-        let key = cache_key(&workload, kind.pricing_mode(), &self.gpu);
+        let (entry, from_cache) = self.tune_entry(kind)?;
+        Ok(TuneResult {
+            workload: kind.name(),
+            config: entry.config,
+            expr_variant: entry.expr_variant,
+            index_ops: entry.index_ops,
+            naive: entry.naive,
+            tuned: entry.tuned,
+            evaluated: if from_cache { 0 } else { entry.evaluated },
+            from_cache,
+        })
+    }
+
+    /// [`Tuner::tune`], answering with the cache entry itself: the
+    /// satisfying entry the cache held (`true`), or the entry the fresh
+    /// search produced and stored (`false`). A service layering its own
+    /// memory tier over the cache promotes this entry as-is.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layout construction and cache write failures.
+    pub fn tune_entry(&self, kind: &WorkloadKind) -> Result<(CachedTuning, bool), TuneError> {
+        let key = cache_key(&kind.name(), kind.pricing_mode(), &self.gpu);
         let mut warm_start: Vec<TunedConfig> = Vec::new();
         if let Some(cache) = &self.cache {
             if let Some(hit) = cache.lookup(&key) {
                 if self.satisfied_by(&hit) {
-                    return Ok(TuneResult {
-                        workload,
-                        config: hit.config,
-                        expr_variant: hit.expr_variant,
-                        index_ops: hit.index_ops,
-                        naive: hit.naive,
-                        tuned: hit.tuned,
-                        evaluated: 0,
-                        from_cache: true,
-                    });
+                    return Ok((hit, true));
                 }
                 // A differently-searched entry still knows good points:
                 // reuse its frontier as the warm-start population.
@@ -225,13 +237,13 @@ impl Tuner {
             }
         }
 
-        let seeded = self.tune_seeded(kind, &warm_start, None)?;
+        let entry = self.entry_from(&self.tune_seeded(kind, &warm_start, None)?);
         if let Some(cache) = &self.cache {
             // The single-key path rides the batched writer: one locked
             // load → merge → atomic-rename cycle, same as a fleet.
-            cache.store_many(&[(key, self.entry_from(&seeded))])?;
+            cache.store_many(&[(key, entry.clone())])?;
         }
-        Ok(seeded.result)
+        Ok((entry, false))
     }
 
     /// Runs the configured search for `kind`, seeded by `seeds` (configs

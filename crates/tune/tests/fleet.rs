@@ -49,7 +49,7 @@ fn cold_fleet_matches_the_sequential_tuner() {
 }
 
 /// Transfer sources are pinned before the run (nearest earlier key),
-/// so the whole report is invariant to worker count and steal order.
+/// so the whole report is invariant to worker count and queue order.
 #[test]
 fn transferred_fleet_is_thread_count_invariant() {
     let grid = small_grid();
